@@ -21,8 +21,10 @@
 #   5. a smoke run of the telemetry pipeline (trace_tour -> trace JSON ->
 #      scripts/trace_summary.py) so the observability path stays healthy,
 #   6. an analyze smoke: `hivesim analyze` over two identically seeded
-#      trace_tour runs must produce byte-identical analysis.json
-#      (docs/OBSERVABILITY.md's determinism contract),
+#      trace_tour runs, and over two identical one-cell
+#      `sweep --telemetry` runs (the CLI's experiment path), must
+#      produce byte-identical analysis.json (docs/OBSERVABILITY.md's
+#      determinism contract),
 #   7. a bounded chaos-fuzz soak (`hivesim fuzz`, fixed seed, wall-clock
 #      capped): every generated world must pass the determinism oracle
 #      set, then the committed regression reproducers under
@@ -108,6 +110,15 @@ echo "=== analyze smoke: byte-identical analysis across seeded reruns ==="
   --metrics="$tmpdir/tour2.metrics.json" \
   --out="$tmpdir/tour.analysis.2.json" > /dev/null
 cmp "$tmpdir/tour.analysis.1.json" "$tmpdir/tour.analysis.2.json"
+cell=gc_us_2_gc_eu_2_conv_tbs32768_seed1_partition
+for i in 1 2; do
+  ./build/tools/hivesim sweep --fleets "gc-us:2,gc-eu:2" --chaos partition \
+    --hours 0.5 --telemetry --out="$tmpdir/cell.$i" > /dev/null
+  ./build/tools/hivesim analyze --trace="$tmpdir/cell.$i/runs/$cell.trace.json" \
+    --metrics="$tmpdir/cell.$i/runs/$cell.metrics.json" \
+    --out="$tmpdir/cell.analysis.$i.json" > /dev/null
+done
+cmp "$tmpdir/cell.analysis.1.json" "$tmpdir/cell.analysis.2.json"
 
 echo "=== fuzz soak: bounded chaos-fuzz campaign + regression replay ==="
 # Fixed seed keeps the soak reproducible; --budget-sec only stops early

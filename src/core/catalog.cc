@@ -1,6 +1,7 @@
 #include "core/catalog.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "common/strings.h"
 
@@ -143,6 +144,19 @@ Result<VmGroup> GroupFor(const std::string& site_alias, int count) {
 
 }  // namespace
 
+Result<int> ParseFleetCount(std::string_view text) {
+  int count = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, count);
+  if (ec != std::errc() || ptr != end || count < 1 ||
+      count > kMaxFleetGroupCount) {
+    return Status::InvalidArgument(
+        StrCat("bad fleet count '", text, "' (want an integer in [1, ",
+               kMaxFleetGroupCount, "])"));
+  }
+  return count;
+}
+
 Result<ClusterSpec> ParseFleetSpec(const std::string& spec) {
   ClusterSpec cluster;
   for (const std::string& part : StrSplit(spec, ',')) {
@@ -151,10 +165,8 @@ Result<ClusterSpec> ParseFleetSpec(const std::string& spec) {
       return Status::InvalidArgument(
           StrCat("bad group '", part, "', want site:count"));
     }
-    const int count = std::atoi(fields[1].c_str());
-    if (count <= 0) {
-      return Status::InvalidArgument(StrCat("bad count in '", part, "'"));
-    }
+    int count = 0;
+    HIVESIM_ASSIGN_OR_RETURN(count, ParseFleetCount(fields[1]));
     VmGroup group;
     HIVESIM_ASSIGN_OR_RETURN(group, GroupFor(fields[0], count));
     cluster.groups.push_back(group);

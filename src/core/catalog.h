@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cluster.h"
@@ -52,8 +53,19 @@ std::vector<NamedExperiment> LambdaSeries();
 /// are rejected by `ParseFleetSpec`.
 const std::map<std::string, net::SiteId>& FleetSiteAliases();
 
+/// Largest VM count one fleet group (or one `advise --sizes` entry) may
+/// ask for. Far above every fleet in the paper (the largest group is 8
+/// VMs), it bounds what a typo'd or hostile count can make the
+/// simulator allocate.
+inline constexpr int kMaxFleetGroupCount = 1024;
+
+/// Parses a fleet group count: a plain decimal integer in
+/// [1, kMaxFleetGroupCount] and nothing else ("2x", " 2", "+2", "0" and
+/// "99999999999" are InvalidArgument).
+Result<int> ParseFleetCount(std::string_view text);
+
 /// Parses the "site:count,site:count" fleet grammar shared by the CLI
-/// (`fleet --spec`, `sweep --fleets`) and the fuzzer's reproducer packs.
+/// (`sweep --fleets`) and the fuzzer's reproducer packs.
 Result<ClusterSpec> ParseFleetSpec(const std::string& spec);
 
 }  // namespace hivesim::core

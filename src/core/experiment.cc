@@ -11,13 +11,21 @@
 
 namespace hivesim::core {
 
+ExperimentConfig WithChaosHardening(ExperimentConfig config) {
+  config.averaging_round_timeout_sec = 120;
+  config.averaging_retry_base_sec = 1.0;
+  config.averaging_max_retries = 2;
+  return config;
+}
+
 Result<std::unique_ptr<ExperimentWorld>> BuildExperimentWorld(
     const ClusterSpec& cluster_spec, const ExperimentConfig& config) {
   // Trace-segment marker: every world is a fresh simulation restarting
-  // at t=0, and `hivesim run`/`fleet` record several of them into one
-  // recorder. The critical-path analyzer splits the trace at these
-  // instants so events of consecutive runs are never cross-matched by
-  // timestamp coincidence.
+  // at t=0, and a process with global telemetry on (a bench binary's
+  // --trace-out, any program embedding the library) records several of
+  // them into one recorder. The critical-path analyzer splits the trace
+  // at these instants so events of consecutive runs are never
+  // cross-matched by timestamp coincidence.
   telemetry::Instant(0.0, "trace", "run-start");
   auto world = std::make_unique<ExperimentWorld>();
   world->topology = net::StandardWorld();

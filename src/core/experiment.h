@@ -27,13 +27,19 @@ struct ExperimentConfig {
   int streams_per_transfer = 1;
   uint64_t seed = 1;
 
-  // --- Churn hardening (forwarded to TrainerConfig; the sweep engine's
-  // chaos cells tighten these so partitions degrade instead of stall) ---
+  // --- Churn hardening (forwarded to TrainerConfig; chaos runs tighten
+  // these via WithChaosHardening so partitions degrade instead of stall) ---
   /// 0 keeps the trainer's default; see TrainerConfig for semantics.
   double averaging_round_timeout_sec = 0;
   double averaging_retry_base_sec = 0;
   int averaging_max_retries = 0;
 };
+
+/// `config` with the Section 7 churn hardening every chaos run gets (the
+/// sweep's chaos cells, the fuzzer's worlds): a 2-minute round watchdog
+/// aborts rounds a partition froze, retries back off from 1 s, and after
+/// two failed retries the swarm degrades to the surviving peers.
+ExperimentConfig WithChaosHardening(ExperimentConfig config);
 
 /// Everything a bench needs to print a paper row.
 struct ExperimentResult {

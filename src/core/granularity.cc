@@ -23,18 +23,4 @@ std::string_view SuitabilityName(Suitability s) {
   return "?";
 }
 
-std::string_view SuitabilityAdvice(Suitability s) {
-  switch (s) {
-    case Suitability::kExcellent:
-      return "scale freely: doubling the fleet buys >=1.8x";
-    case Suitability::kGood:
-      return "scales: doubling the fleet buys 1.33-1.8x";
-    case Suitability::kMarginal:
-      return "near break-even: add hardware only if it is cheap";
-    case Suitability::kUnsuitable:
-      return "communication-bound: do not add peers, raise the TBS";
-  }
-  return "?";
-}
-
 }  // namespace hivesim::core

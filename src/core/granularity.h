@@ -27,10 +27,6 @@ Suitability ClassifyGranularity(double granularity);
 
 std::string_view SuitabilityName(Suitability s);
 
-/// One-line human guidance for a measured granularity, e.g.
-/// "good: doubling the fleet buys at most 1.67x".
-std::string_view SuitabilityAdvice(Suitability s);
-
 }  // namespace hivesim::core
 
 #endif  // HIVESIM_CORE_GRANULARITY_H_

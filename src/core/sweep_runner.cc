@@ -33,19 +33,13 @@ SweepCellOutcome RunCell(const SweepCell& cell, bool capture_telemetry) {
   }
 
   std::optional<faults::ChaosInjector> injector;
-  if (cell.chaos != ChaosPreset::kNone || cell.has_scenario) {
+  if (!cell.chaos.is_none()) {
     injector.emplace(&(*world)->sim, &(*world)->topology,
                      (*world)->network.get(), cell.config.seed);
     injector->AttachTrainer((*world)->trainer.get());
-    auto schedule =
-        cell.has_scenario
-            ? scenario::Compile(cell.scenario_pack,
-                                FleetViewOf((*world)->cluster,
-                                            (*world)->topology),
-                                cell.config.duration_sec)
-            : BuildChaosSchedule(cell.chaos, (*world)->cluster,
-                                 (*world)->topology,
-                                 cell.config.duration_sec);
+    auto schedule = scenario::Compile(
+        cell.chaos.pack, FleetViewOf((*world)->cluster, (*world)->topology),
+        cell.config.duration_sec);
     if (!schedule.ok()) {
       outcome.error = schedule.status().ToString();
       return outcome;

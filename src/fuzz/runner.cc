@@ -82,12 +82,9 @@ core::ExperimentConfig ConfigOf(const FuzzCase& fuzz_case) {
   config.target_batch_size = fuzz_case.target_batch_size;
   config.duration_sec = fuzz_case.sim_duration_sec;
   config.seed = fuzz_case.world_seed;
-  // The sweep engine's chaos hardening: partitions degrade instead of
-  // stalling the run (fuzz worlds are chaotic by construction).
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
-  return config;
+  // Fuzz worlds are chaotic by construction: partitions degrade instead
+  // of stalling the run.
+  return core::WithChaosHardening(config);
 }
 
 /// One full world execution with private telemetry sinks. `second` is

@@ -1,5 +1,5 @@
-// The chaos presets (`wan-degrade`/`partition`/`churn`) that used to be
-// hard-coded in core/sweep.cc, ported to scenario packs — plus the
+// The builtin packs that a sweep's chaos names resolve to: the Section 7
+// failure presets (`wan-degrade`/`partition`/`churn`) plus the
 // documented diurnal example. The committed files under scenarios/ hold
 // the exact canonical serialization of these packs (tests enforce the
 // byte identity), so "preset" and "pack file" can never drift apart.

@@ -194,8 +194,10 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
   RoundModel model;
   const std::vector<CanonEvent>& events = dataset.events;
 
-  // `hivesim run`/`fleet` record several simulations into one recorder,
-  // each restarting at sim-time 0 behind a "run-start" marker. Events
+  // A process with global telemetry on (a bench binary's --trace-out,
+  // any program embedding the library) records several simulations into
+  // one recorder, each restarting at sim-time 0 behind a "run-start"
+  // marker; traces may also come from outside the program. Events
   // are grouped by marker position so flows of run k can never be
   // matched against rounds of run k+1 by timestamp coincidence.
   std::vector<size_t> run_starts{0};

@@ -116,10 +116,10 @@ struct Round {
 /// The reconstructed dependency model of a whole trace.
 struct RoundModel {
   std::vector<Round> rounds;  ///< Run order, then epoch order.
-  /// Number of trace segments. `hivesim run`/`fleet` record several
-  /// simulations (each restarting at t=0) into one recorder, separated
-  /// by "run-start" instants on the "trace" lane; a marker-free trace
-  /// is a single run.
+  /// Number of trace segments. A multi-simulation recording (e.g. a
+  /// bench binary's --trace-out) holds several simulations (each
+  /// restarting at t=0), separated by "run-start" instants on the
+  /// "trace" lane; a marker-free trace is a single run.
   int num_runs = 1;
   double modeled_us = 0;    ///< Sum of round durations.
   double unmodeled_us = 0;  ///< Traced sim-time outside any complete

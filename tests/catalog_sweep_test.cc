@@ -1,8 +1,11 @@
 // Sweep test: every named experiment in the catalog runs end to end for
 // both headline models, and shared invariants hold — the broad net that
-// catches regressions anywhere in the stack.
+// catches regressions anywhere in the stack. Also the fleet-spec
+// grammar's strict count parsing.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/units.h"
 #include "core/catalog.h"
@@ -94,6 +97,35 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// --- Fleet specs: the "site:count" grammar of `sweep --fleets` and the
+// fuzzer's reproducer packs ---
+
+TEST(FleetSpecTest, ParsesSiteCountGroups) {
+  auto cluster = ParseFleetSpec("gc-us:2,aws:1,gc-eu:" +
+                                std::to_string(kMaxFleetGroupCount));
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ASSERT_EQ(cluster->groups.size(), 3u);
+  EXPECT_EQ(cluster->groups[0].site, net::kGcUs);
+  EXPECT_EQ(cluster->groups[0].count, 2);
+  EXPECT_EQ(cluster->groups[1].site, net::kAwsUsWest);
+  EXPECT_EQ(cluster->groups[1].count, 1);
+  EXPECT_EQ(cluster->groups[2].count, kMaxFleetGroupCount);
+}
+
+TEST(FleetSpecTest, RejectsBadCountsWithStatus) {
+  for (const std::string& spec : std::vector<std::string>{
+           "gc-us:2x", "gc-us:x", "gc-us:x2", "gc-us:", "gc-us: 2", "gc-us:2 ",
+           "gc-us:+2", "gc-us:0x10", "gc-us:0", "gc-us:-1", "gc-us:2.5",
+           "gc-us:2147483648", "gc-us:99999999999",
+           "gc-us:" + std::to_string(kMaxFleetGroupCount + 1),
+           "gc-us:2,aws:1x", "gc-us", "gc-us:2:3", "mars:2", ""}) {
+    SCOPED_TRACE(spec);
+    auto cluster = ParseFleetSpec(spec);
+    ASSERT_FALSE(cluster.ok());
+    EXPECT_EQ(cluster.status().code(), StatusCode::kInvalidArgument);
+  }
+}
 
 }  // namespace
 }  // namespace hivesim::core

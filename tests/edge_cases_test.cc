@@ -36,12 +36,11 @@ TEST(GranularityTest, BucketsMatchPaperThresholds) {
   EXPECT_EQ(ClassifyGranularity(0.0), Suitability::kUnsuitable);
 }
 
-TEST(GranularityTest, NamesAndAdviceNonEmpty) {
+TEST(GranularityTest, NamesNonEmpty) {
   for (auto s : {core::Suitability::kExcellent, core::Suitability::kGood,
                  core::Suitability::kMarginal,
                  core::Suitability::kUnsuitable}) {
     EXPECT_FALSE(core::SuitabilityName(s).empty());
-    EXPECT_FALSE(core::SuitabilityAdvice(s).empty());
   }
 }
 

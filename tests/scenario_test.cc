@@ -1,6 +1,7 @@
 // Scenario packs: canonical serialization round-trips, committed
 // preset-pack files byte-identical to the builtin packs, preset
-// compilation pinned event-for-event to the legacy in-code schedules,
+// compilation pinned event-for-event to the legacy in-code schedules, a
+// file pack on the sweep's chaos axis equal to its builtin name,
 // compile semantics for the new diurnal/zone/contention phenomena, and
 // the bad-pack corpus (every malformed field an offset- or line-tagged
 // error, never a crash or a silent default).
@@ -16,6 +17,7 @@
 #include "common/units.h"
 #include "core/cluster.h"
 #include "core/sweep.h"
+#include "core/sweep_runner.h"
 #include "net/profiles.h"
 #include "scenario/scenario.h"
 
@@ -175,33 +177,49 @@ TEST(ScenarioPresets, ChurnMatchesLegacySchedule) {
   EXPECT_EQ(storm.restart_after_sec, 600);
 }
 
-// BuildChaosSchedule (the sweep engine's preset entry point) routes
-// through the same packs — pin it on a provisioned cluster too.
-TEST(ScenarioPresets, BuildChaosScheduleUsesThePacks) {
-  net::Topology topology = net::StandardWorld();
-  core::ClusterSpec spec;
-  spec.groups.push_back(core::GcT4s(2, net::kGcUs));
-  spec.groups.push_back(core::GcT4s(2, net::kGcEu));
-  auto cluster = core::Cluster::Provision(&topology, spec);
-  ASSERT_TRUE(cluster.ok());
-  const double duration = 2 * kHour;
+// The sweep's chaos axis: a `partition` entry loaded from the committed
+// file runs the same cell as the builtin name (same cell name, chaos
+// fingerprint and result), and may follow `none` on one axis.
+TEST(ScenarioPresets, FilePackCellMatchesBuiltinName) {
+  core::SweepSpec spec;
+  spec.clusters = {core::NamedExperiment{
+      "US+EU", {{core::GcT4s(2, net::kGcUs), core::GcT4s(2, net::kGcEu)}}}};
+  spec.duration_sec = 0.25 * kHour;
 
-  auto from_preset = core::BuildChaosSchedule(
-      core::ChaosPreset::kPartition, *cluster, topology, duration);
-  ASSERT_TRUE(from_preset.ok());
-  auto pack = scenario::BuiltinScenario("partition");
-  ASSERT_TRUE(pack.ok());
-  auto from_pack = scenario::Compile(
-      *pack, core::FleetViewOf(*cluster, topology), duration);
-  ASSERT_TRUE(from_pack.ok());
-  ASSERT_EQ(from_preset->wan_events().size(), from_pack->wan_events().size());
-  for (size_t i = 0; i < from_pack->wan_events().size(); ++i) {
-    EXPECT_EQ(from_preset->wan_events()[i].a, from_pack->wan_events()[i].a);
-    EXPECT_EQ(from_preset->wan_events()[i].start_sec,
-              from_pack->wan_events()[i].start_sec);
-    EXPECT_EQ(from_preset->wan_events()[i].bandwidth_factor,
-              from_pack->wan_events()[i].bandwidth_factor);
-  }
+  core::SweepSpec by_name = spec;
+  auto builtin = core::ChaosEntryNamed("partition");
+  ASSERT_TRUE(builtin.ok());
+  by_name.chaos = {*builtin};
+
+  core::SweepSpec by_file = spec;
+  auto pack = scenario::LoadScenarioFile(
+      (std::filesystem::path(kRepoRoot) / "scenarios" / "partition.json")
+          .string());
+  ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+  by_file.chaos = {core::ChaosAxisEntry{},
+                   core::ChaosAxisEntry{pack->name, *pack}};
+  ASSERT_TRUE(by_file.Validate().ok()) << by_file.Validate().ToString();
+
+  auto named = core::RunSweep(by_name, core::SweepOptions{});
+  ASSERT_TRUE(named.ok()) << named.status().ToString();
+  auto filed = core::RunSweep(by_file, core::SweepOptions{});
+  ASSERT_TRUE(filed.ok()) << filed.status().ToString();
+  ASSERT_EQ(named->cells.size(), 1u);
+  ASSERT_EQ(filed->cells.size(), 2u);
+  EXPECT_EQ(filed->failures, 0);
+
+  const core::SweepCellOutcome& a = named->outcomes[0];
+  const core::SweepCellOutcome& b = filed->outcomes[1];
+  EXPECT_EQ(named->cells[0].name, "US+EU/CONV/tbs32768/seed1/partition");
+  EXPECT_EQ(filed->cells[1].name, named->cells[0].name);
+  ASSERT_TRUE(a.ok && b.ok);
+  EXPECT_NE(a.chaos_fingerprint, 0u);
+  EXPECT_EQ(b.chaos_fingerprint, a.chaos_fingerprint);
+  EXPECT_EQ(b.result.train.throughput_sps, a.result.train.throughput_sps);
+  EXPECT_EQ(b.result.train.epochs, a.result.train.epochs);
+  EXPECT_EQ(b.result.cost_per_million, a.result.cost_per_million);
+  // The `none` cell ran unarmed.
+  EXPECT_EQ(filed->outcomes[0].chaos_fingerprint, 0u);
 }
 
 // --- Compile semantics for the new phenomena --------------------------
@@ -286,12 +304,17 @@ TEST(ScenarioCompile, CrashPeerOutOfRangeIsAnError) {
             std::string::npos);
 }
 
+// A sweep chaos cell compiles its pack directly, so an empty fleet must
+// arm nothing for every builtin (as the sweep's preset path always did).
 TEST(ScenarioCompile, EmptyFleetCompilesToNothing) {
-  auto pack = scenario::BuiltinScenario("churn");
-  ASSERT_TRUE(pack.ok());
-  auto compiled = scenario::Compile(*pack, scenario::FleetView{}, 1000);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(compiled->empty());
+  for (const std::string& name : scenario::BuiltinScenarioNames()) {
+    SCOPED_TRACE(name);
+    auto pack = scenario::BuiltinScenario(name);
+    ASSERT_TRUE(pack.ok());
+    auto compiled = scenario::Compile(*pack, scenario::FleetView{}, 1000);
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_TRUE(compiled->empty());
+  }
 }
 
 // --- CSV import form --------------------------------------------------

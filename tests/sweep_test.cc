@@ -15,6 +15,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -27,6 +28,12 @@
 namespace hivesim::core {
 namespace {
 
+ChaosAxisEntry Chaos(std::string_view name) {
+  auto entry = ChaosEntryNamed(name);
+  EXPECT_TRUE(entry.ok()) << entry.status().ToString();
+  return entry.value_or(ChaosAxisEntry{});
+}
+
 SweepSpec SmallGrid() {
   SweepSpec spec;
   spec.title = "oracle grid";
@@ -36,8 +43,7 @@ SweepSpec SmallGrid() {
   spec.models = {models::ModelId::kConvNextLarge};
   spec.target_batch_sizes = {8192, 32768};
   spec.seeds = {1, 7};
-  spec.chaos = {ChaosPreset::kNone, ChaosPreset::kPartition,
-                ChaosPreset::kChurn};
+  spec.chaos = {Chaos("none"), Chaos("partition"), Chaos("churn")};
   spec.duration_sec = 0.5 * kHour;
   return spec;
 }
@@ -71,7 +77,7 @@ TEST(SweepSpecTest, ExpansionOrderAndNaming) {
 TEST(SweepSpecTest, ChaosCellsGetChurnHardening) {
   const std::vector<SweepCell> cells = ExpandSweep(SmallGrid());
   for (const SweepCell& cell : cells) {
-    if (cell.chaos == ChaosPreset::kNone) {
+    if (cell.chaos.is_none()) {
       EXPECT_EQ(cell.config.averaging_round_timeout_sec, 0);
     } else {
       EXPECT_GT(cell.config.averaging_round_timeout_sec, 0);
@@ -104,44 +110,59 @@ TEST(SweepSpecTest, ValidateRejectsBadSpecs) {
   EXPECT_TRUE(SmallGrid().Validate().ok());
 }
 
-// Scenario packs ride the chaos axis, so their labels share a namespace
-// with the preset names and must be unique and non-empty.
+// Builtin names and pack files share one chaos axis, so labels must be
+// unique and non-empty, and `none` never carries events.
 TEST(SweepSpecTest, ScenarioAxisLabelsAreValidatedAndNameCells) {
   auto pack = scenario::BuiltinScenario("zone-diurnal");
   ASSERT_TRUE(pack.ok());
 
   SweepSpec ok = SmallGrid();
-  ok.chaos = {ChaosPreset::kNone};
-  ok.scenarios.push_back(ScenarioAxisEntry{"zone-diurnal", *pack});
+  ok.chaos = {Chaos("none"), ChaosAxisEntry{"tide", *pack}};
   ASSERT_TRUE(ok.Validate().ok());
   const std::vector<SweepCell> cells = ExpandSweep(ok);
   ASSERT_FALSE(cells.empty());
-  // Scenario cells expand after the presets, suffixed with the label.
+  // Entries expand in axis order, suffixed with the label.
   EXPECT_EQ(cells[0].name, "2xA10/CONV/tbs8192/seed1");
-  EXPECT_EQ(cells[1].name, "2xA10/CONV/tbs8192/seed1/zone-diurnal");
-
-  SweepSpec collides = ok;
-  collides.scenarios[0].label = "partition";
-  EXPECT_FALSE(collides.Validate().ok());
+  EXPECT_EQ(cells[1].name, "2xA10/CONV/tbs8192/seed1/tide");
 
   SweepSpec unlabeled = ok;
-  unlabeled.scenarios[0].label.clear();
+  unlabeled.chaos[1].label.clear();
   EXPECT_FALSE(unlabeled.Validate().ok());
 
   SweepSpec dup = ok;
-  dup.scenarios.push_back(dup.scenarios[0]);
+  dup.chaos.push_back(dup.chaos[1]);
   EXPECT_FALSE(dup.Validate().ok());
+
+  // A file pack labelled like a builtin entry on the same axis.
+  SweepSpec collides = ok;
+  collides.chaos.push_back(Chaos("zone-diurnal"));
+  collides.chaos.push_back(ChaosAxisEntry{"zone-diurnal", *pack});
+  EXPECT_FALSE(collides.Validate().ok());
+
+  SweepSpec loud_none = ok;
+  loud_none.chaos[0].pack = *pack;
+  EXPECT_FALSE(loud_none.Validate().ok());
 }
 
-TEST(SweepSpecTest, ChaosPresetRoundTrip) {
-  for (const ChaosPreset preset :
-       {ChaosPreset::kNone, ChaosPreset::kWanDegrade, ChaosPreset::kPartition,
-        ChaosPreset::kChurn}) {
-    auto parsed = ParseChaosPreset(ChaosPresetName(preset));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, preset);
+TEST(SweepSpecTest, ChaosAxisResolvesBuiltinNames) {
+  const auto none = ChaosEntryNamed("none");
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->is_none());
+  EXPECT_EQ(none->pack.NumEvents(), 0u);
+  for (const std::string& name : scenario::BuiltinScenarioNames()) {
+    SCOPED_TRACE(name);
+    auto entry = ChaosEntryNamed(name);
+    ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+    EXPECT_EQ(entry->label, name);
+    EXPECT_FALSE(entry->is_none());
+    auto builtin = scenario::BuiltinScenario(name);
+    ASSERT_TRUE(builtin.ok());
+    EXPECT_EQ(scenario::ScenarioToJson(entry->pack),
+              scenario::ScenarioToJson(*builtin));
   }
-  EXPECT_FALSE(ParseChaosPreset("tsunami").ok());
+  const auto unknown = ChaosEntryNamed("tsunami");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- The determinism oracle: serial == parallel, byte for byte ---
@@ -190,7 +211,7 @@ TEST(SweepDeterminismTest, SerialAndParallelRunsAreByteIdentical) {
   // against an empty schedule).
   bool saw_chaos = false;
   for (size_t i = 0; i < one->cells.size(); ++i) {
-    if (one->cells[i].chaos != ChaosPreset::kNone) {
+    if (!one->cells[i].chaos.is_none()) {
       EXPECT_NE(one->outcomes[i].chaos_fingerprint, 0u)
           << one->cells[i].name;
       saw_chaos = true;
@@ -254,7 +275,7 @@ TEST(SweepDeterminismTest, GloballyEnabledTelemetryStaysRaceFreeAndClean) {
   SweepSpec spec = SmallGrid();
   spec.clusters.resize(1);
   spec.seeds = {1};
-  spec.chaos = {ChaosPreset::kNone};
+  spec.chaos = {Chaos("none")};
   SweepOptions options;
   options.threads = 4;
   auto summary = RunSweep(spec, options);
@@ -349,7 +370,7 @@ TEST(SweepAggregatorTest, DuplicateAndOutOfRangeAddsAreIgnored) {
   SweepSpec spec = SmallGrid();
   spec.clusters.resize(1);
   spec.seeds = {1};
-  spec.chaos = {ChaosPreset::kNone};
+  spec.chaos = {Chaos("none")};
   const std::vector<SweepCell> cells = ExpandSweep(spec);
   SweepAggregator aggregator(spec, cells);
   SweepCellOutcome first = FakeOutcome(0);

@@ -2,32 +2,39 @@
 //
 // Subcommands:
 //   list                       Models, VM types, and named experiments.
-//   run                        Run a named experiment series.
-//     --series A|B|C|D|lambda  (default A)
-//     --model CONV|RXLM|...    (default CONV)
-//     --tbs N                  (default 32768)
-//     --hours H                (default 2)
-//     --csv PATH / --json PATH Optional exports.
-//   fleet                      Run a custom fleet.
-//     --spec "gc-us:4,gc-eu:4" VM groups site:count (gc-us, gc-eu,
-//                              gc-asia, gc-aus, aws, azure, lambda).
-//     --model / --tbs / --hours as above.
-//   run/fleet also accept:
-//     --scenario PATH          Arm a scenario pack (JSON/CSV fault
-//                              script; docs/SCENARIOS.md) against the
-//                              fleet and print the chaos fingerprint.
-//     --trace-out PATH         Chrome trace_event JSON of the run
-//                              (open in https://ui.perfetto.dev).
-//     --metrics-out PATH       Counter/gauge/histogram snapshot as JSON.
-//     --analysis-out PATH      In-process critical-path analysis of the
-//                              run (schema hivesim-analysis/1) — byte-
-//                              identical to `hivesim analyze` on the
-//                              same run's --trace-out/--metrics-out.
+//   sweep                      Run an experiment grid concurrently: the
+//                              one way to run experiments, from a single
+//                              fleet to a whole figure (docs/SWEEPS.md
+//                              has single-run recipes).
+//     --series A,B             Cluster axis from named series, and/or
+//     --fleets "lambda:2;gc-us:4"   custom fleets (';'-separated specs;
+//                              groups site:count with site gc-us, gc-eu,
+//                              gc-asia, gc-aus, aws, azure or lambda and
+//                              count in [1, 1024]).
+//     --models CONV,RXLM       Model axis ("suitability" = Fig. 3/4 set).
+//     --tbs 8192,16384,32768   Target-batch-size axis.
+//     --seeds 1,2              Seed axis.
+//     --chaos none,partition   Chaos axis by name: none (the default) or a
+//                              builtin scenario pack (wan-degrade,
+//                              partition, churn, zone-diurnal).
+//     --scenarios p1.json,p2   Scenario pack files appended to the chaos
+//                              axis after --chaos; each cell label is the
+//                              pack's name (labels must be unique).
+//     --hours H --title T      Shared run length / report title.
+//     --threads N              Worker threads (results are byte-identical
+//                              for any N; see tests/sweep_test.cc).
+//     --out DIR                Write report.json/report.csv/manifest.json/
+//                              metrics_merged.json (+ per-run telemetry
+//                              under DIR/runs with --telemetry).
+//     --telemetry              Per-cell trace + metrics capture (feed
+//                              runs/<slug>.{trace,metrics}.json to
+//                              analyze).
 //   analyze                    Post-hoc critical-path / bottleneck
 //                              attribution of a recorded trace
 //                              (docs/OBSERVABILITY.md).
-//     --trace PATH             Chrome trace JSON from --trace-out (or a
-//                              sweep cell's runs/ directory). Required.
+//     --trace PATH             Chrome trace JSON: a sweep cell's
+//                              runs/<slug>.trace.json (sweep --telemetry)
+//                              or a bench's --trace-out. Required.
 //     --metrics PATH           Optional metrics snapshot; adds the
 //                              trace-vs-counter reconciliation section.
 //     --out PATH               Write analysis.json (deterministic:
@@ -36,6 +43,7 @@
 //     --what-if F              Headroom link-speed factor (default 2).
 //   advise                     Rank training options by $/1M samples.
 //     --model M --min-sps S --sizes "2,4,8"
+//                              (sizes: integers in [1, 1024]).
 //   profile                    iperf/ping between two sites.
 //     --from gc-us --to gc-eu --streams N
 //   lint                       Determinism & layering static analysis
@@ -55,23 +63,6 @@
 //     --update                 Rewrite baselines from --current-dir.
 //     --allow-new-area         An area with no baseline file yet is
 //                              reported as new (warn) instead of erroring.
-//   sweep                      Run a whole figure grid concurrently.
-//     --series A,B             Cluster axis from named series, and/or
-//     --fleets "lambda:2;gc-us:4"   custom fleets (';'-separated specs).
-//     --models CONV,RXLM       Model axis ("suitability" = Fig. 3/4 set).
-//     --tbs 8192,16384,32768   Target-batch-size axis.
-//     --seeds 1,2              Seed axis.
-//     --chaos none,partition   Chaos axis (none, wan-degrade, partition,
-//                              churn); see docs/SWEEPS.md.
-//     --scenarios p1.json,p2   Scenario packs extending the chaos axis;
-//                              each cell label is the pack's name.
-//     --hours H --title T      Shared run length / report title.
-//     --threads N              Worker threads (results are byte-identical
-//                              for any N; see tests/sweep_test.cc).
-//     --out DIR                Write report.json/report.csv/manifest.json/
-//                              metrics_merged.json (+ per-run telemetry
-//                              under DIR/runs with --telemetry).
-//     --telemetry              Per-cell trace + metrics capture.
 //   scenario                   Inspect scenario packs (docs/SCENARIOS.md).
 //     --check PATH             Parse + validate; print a summary.
 //     --canonicalize PATH      Parse and print the canonical JSON bytes.
@@ -102,8 +93,8 @@
 // typo'd sweep axis would otherwise silently run the wrong grid.
 //
 // Examples:
-//   hivesim run --series C --model RXLM
-//   hivesim fleet --spec "gc-us:2,aws:2" --model CONV --json /tmp/d2.json
+//   hivesim sweep --series C --models RXLM
+//   hivesim sweep --fleets "gc-us:2,aws:2" --chaos none,partition --out d2
 //   hivesim advise --model CONV --min-sps 250
 //   hivesim profile --from onprem --to gc-us --streams 80
 //   hivesim sweep --fleets "lambda:2" --models suitability
@@ -112,8 +103,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,12 +112,9 @@
 #include "common/units.h"
 #include "core/advisor.h"
 #include "core/catalog.h"
-#include "core/experiment.h"
-#include "core/granularity.h"
 #include "core/report.h"
 #include "core/sweep.h"
 #include "core/sweep_runner.h"
-#include "faults/chaos.h"
 #include "fuzz/fuzz.h"
 #include "lint/lint.h"
 #include "net/profiler.h"
@@ -137,7 +123,6 @@
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/analysis.h"
-#include "telemetry/telemetry.h"
 
 namespace {
 
@@ -146,12 +131,6 @@ using namespace hivesim;
 int Fail(const Status& status) {
   std::cerr << "error: " << status.ToString() << "\n";
   return 1;
-}
-
-// Fleet parsing lives in core/catalog.h now — the CLI, the sweep engine,
-// and the fuzzer's reproducer packs all share one "site:count" grammar.
-const std::map<std::string, net::SiteId>& SiteAliases() {
-  return core::FleetSiteAliases();
 }
 
 Result<std::vector<core::NamedExperiment>> SeriesFor(
@@ -177,186 +156,13 @@ int CmdList(const FlagSet& flags) {
   }
   models_table.Print(std::cout);
 
-  std::cout << "\nSites (for --spec / --from / --to):\n  ";
-  for (const auto& [alias, site] : SiteAliases()) std::cout << alias << " ";
+  std::cout << "\nSites (for --fleets / --from / --to):\n  ";
+  for (const auto& [alias, site] : core::FleetSiteAliases()) {
+    std::cout << alias << " ";
+  }
   std::cout << "\n\nExperiment series: A (intra-zone), B (transatlantic), "
                "C (intercontinental), D (multi-cloud), lambda (A10s)\n";
   return 0;
-}
-
-void EnableTelemetryIfRequested(const FlagSet& flags) {
-  if (!flags.GetString("trace-out", "").empty() ||
-      !flags.GetString("metrics-out", "").empty() ||
-      !flags.GetString("analysis-out", "").empty()) {
-    telemetry::Telemetry::Enable();
-  }
-}
-
-/// Writes the dumps requested via --trace-out/--metrics-out/
-/// --analysis-out; 0 on success.
-int WriteTelemetryOutputs(const FlagSet& flags) {
-  const std::string trace = flags.GetString("trace-out", "");
-  if (!trace.empty() &&
-      !telemetry::Telemetry::trace().WriteChromeJson(trace)) {
-    return Fail(Status::IOError(StrCat("cannot write ", trace)));
-  }
-  const std::string metrics = flags.GetString("metrics-out", "");
-  if (!metrics.empty() &&
-      !telemetry::Telemetry::metrics().WriteJson(metrics)) {
-    return Fail(Status::IOError(StrCat("cannot write ", metrics)));
-  }
-  const std::string analysis = flags.GetString("analysis-out", "");
-  if (!analysis.empty()) {
-    // In-process mode: same round model, same canonicalized arithmetic
-    // as `hivesim analyze` reading the written trace — byte-identical.
-    auto report = telemetry::RoundAnalyzer().Analyze();
-    if (!report.ok()) return Fail(report.status());
-    std::ofstream f(analysis, std::ios::binary);
-    f << report->ToJson() << "\n";
-    if (!f) return Fail(Status::IOError(StrCat("cannot write ", analysis)));
-  }
-  return 0;
-}
-
-/// Runs one experiment with a scenario pack compiled against the fleet
-/// and armed; prints the chaos fingerprint (the replay handle, the same
-/// number sweep manifests record). Scenario runs get the sweep engine's
-/// chaos hardening so a scripted partition degrades instead of stalling
-/// the run.
-Result<core::ExperimentResult> RunWithScenario(
-    const core::ClusterSpec& cluster, core::ExperimentConfig config,
-    const scenario::ScenarioPack& pack, const std::string& label) {
-  config.averaging_round_timeout_sec = 120;
-  config.averaging_retry_base_sec = 1.0;
-  config.averaging_max_retries = 2;
-  std::unique_ptr<core::ExperimentWorld> world;
-  HIVESIM_ASSIGN_OR_RETURN(world, core::BuildExperimentWorld(cluster, config));
-  faults::ChaosSchedule schedule;
-  HIVESIM_ASSIGN_OR_RETURN(
-      schedule,
-      scenario::Compile(pack, core::FleetViewOf(world->cluster, world->topology),
-                        config.duration_sec));
-  faults::ChaosInjector injector(&world->sim, &world->topology,
-                                 world->network.get(), config.seed);
-  injector.AttachTrainer(world->trainer.get());
-  HIVESIM_RETURN_IF_ERROR(injector.Arm(schedule));
-  core::ExperimentResult result;
-  HIVESIM_ASSIGN_OR_RETURN(result, core::CompleteExperiment(*world, config));
-  std::cout << label << ": scenario " << pack.name << " fingerprint "
-            << StrFormat("%016llx", static_cast<unsigned long long>(
-                                        injector.TraceFingerprint()))
-            << "\n";
-  return result;
-}
-
-int CmdRun(const FlagSet& flags) {
-  if (Status s = flags.CheckKnown({"series", "model", "tbs", "hours", "csv",
-                                   "json", "scenario", "trace-out",
-                                   "metrics-out", "analysis-out"});
-      !s.ok()) {
-    return Fail(s);
-  }
-  EnableTelemetryIfRequested(flags);
-  auto series = SeriesFor(flags.GetString("series", "A"));
-  if (!series.ok()) return Fail(series.status());
-  auto model = models::ParseModelId(flags.GetString("model", "CONV"));
-  if (!model.ok()) return Fail(model.status());
-  auto tbs = flags.GetInt("tbs", 32768);
-  if (!tbs.ok()) return Fail(tbs.status());
-  auto hours = flags.GetDouble("hours", 2.0);
-  if (!hours.ok()) return Fail(hours.status());
-  scenario::ScenarioPack pack;
-  const std::string scenario_path = flags.GetString("scenario", "");
-  if (!scenario_path.empty()) {
-    auto loaded = scenario::LoadScenarioFile(scenario_path);
-    if (!loaded.ok()) return Fail(loaded.status());
-    pack = std::move(*loaded);
-  }
-
-  core::ReportBuilder report(
-      StrCat("series ", flags.GetString("series", "A"), " / ",
-             models::ModelName(*model)));
-  for (const auto& experiment : *series) {
-    core::ExperimentConfig config;
-    config.model = *model;
-    config.target_batch_size = *tbs;
-    config.duration_sec = *hours * kHour;
-    auto result =
-        scenario_path.empty()
-            ? core::RunHivemindExperiment(experiment.cluster, config)
-            : RunWithScenario(experiment.cluster, config, pack,
-                              experiment.name);
-    if (!result.ok()) {
-      std::cerr << experiment.name << ": " << result.status().ToString()
-                << "\n";
-      continue;
-    }
-    report.Add(experiment.name, std::move(*result));
-  }
-  report.PrintTable(std::cout);
-
-  const std::string csv = flags.GetString("csv", "");
-  if (!csv.empty() && !report.WriteCsv(csv)) {
-    return Fail(Status::IOError(StrCat("cannot write ", csv)));
-  }
-  const std::string json_path = flags.GetString("json", "");
-  if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    f << report.ToJson() << "\n";
-    if (!f) return Fail(Status::IOError(StrCat("cannot write ", json_path)));
-  }
-  return WriteTelemetryOutputs(flags);
-}
-
-int CmdFleet(const FlagSet& flags) {
-  if (Status s = flags.CheckKnown({"spec", "model", "tbs", "hours", "json",
-                                   "scenario", "trace-out", "metrics-out",
-                                   "analysis-out"});
-      !s.ok()) {
-    return Fail(s);
-  }
-  EnableTelemetryIfRequested(flags);
-  auto cluster = core::ParseFleetSpec(flags.GetString("spec", "gc-us:8"));
-  if (!cluster.ok()) return Fail(cluster.status());
-  auto model = models::ParseModelId(flags.GetString("model", "CONV"));
-  if (!model.ok()) return Fail(model.status());
-  auto tbs = flags.GetInt("tbs", 32768);
-  if (!tbs.ok()) return Fail(tbs.status());
-  auto hours = flags.GetDouble("hours", 2.0);
-  if (!hours.ok()) return Fail(hours.status());
-
-  core::ExperimentConfig config;
-  config.model = *model;
-  config.target_batch_size = *tbs;
-  config.duration_sec = *hours * kHour;
-  const std::string scenario_path = flags.GetString("scenario", "");
-  Result<core::ExperimentResult> result = [&]() -> Result<core::ExperimentResult> {
-    if (scenario_path.empty()) {
-      return core::RunHivemindExperiment(*cluster, config);
-    }
-    scenario::ScenarioPack pack;
-    HIVESIM_ASSIGN_OR_RETURN(pack, scenario::LoadScenarioFile(scenario_path));
-    return RunWithScenario(*cluster, config, pack,
-                           flags.GetString("spec", "gc-us:8"));
-  }();
-  if (!result.ok()) return Fail(result.status());
-
-  core::ReportBuilder report(
-      StrCat("fleet ", flags.GetString("spec", "gc-us:8")));
-  const double granularity = result->train.granularity;
-  report.Add(flags.GetString("spec", "gc-us:8"), std::move(*result));
-  report.PrintTable(std::cout);
-  std::cout << "Scaling outlook: "
-            << core::SuitabilityAdvice(
-                   core::ClassifyGranularity(granularity))
-            << "\n";
-  const std::string json_path = flags.GetString("json", "");
-  if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    f << report.ToJson() << "\n";
-    if (!f) return Fail(Status::IOError(StrCat("cannot write ", json_path)));
-  }
-  return WriteTelemetryOutputs(flags);
 }
 
 int CmdAdvise(const FlagSet& flags) {
@@ -373,7 +179,9 @@ int CmdAdvise(const FlagSet& flags) {
   request.fleet_sizes.clear();
   for (const std::string& size :
        StrSplit(flags.GetString("sizes", "2,4,8"), ',')) {
-    request.fleet_sizes.push_back(std::atoi(size.c_str()));
+    auto count = core::ParseFleetCount(size);
+    if (!count.ok()) return Fail(count.status());
+    request.fleet_sizes.push_back(*count);
   }
   auto options = core::RankTrainingOptions(request);
   if (!options.ok()) return Fail(options.status());
@@ -395,7 +203,7 @@ int CmdProfile(const FlagSet& flags) {
   if (Status s = flags.CheckKnown({"from", "to", "streams"}); !s.ok()) {
     return Fail(s);
   }
-  const auto& aliases = SiteAliases();
+  const auto& aliases = core::FleetSiteAliases();
   auto from = aliases.find(flags.GetString("from", "gc-us"));
   auto to = aliases.find(flags.GetString("to", "gc-eu"));
   if (from == aliases.end() || to == aliases.end()) {
@@ -494,23 +302,21 @@ int CmdSweep(const FlagSet& flags) {
   if (!seed_list.ok()) return Fail(seed_list.status());
   spec.seeds.assign(seed_list->begin(), seed_list->end());
 
+  // One chaos axis: the --chaos names, then the --scenarios pack files,
+  // each file's cells labelled with the pack's own name.
   spec.chaos.clear();
   for (const std::string& name :
        StrSplit(flags.GetString("chaos", "none"), ',')) {
-    auto preset = core::ParseChaosPreset(name);
-    if (!preset.ok()) return Fail(preset.status());
-    spec.chaos.push_back(*preset);
+    auto entry = core::ChaosEntryNamed(name);
+    if (!entry.ok()) return Fail(entry.status());
+    spec.chaos.push_back(std::move(*entry));
   }
-
-  // Scenario packs extend the chaos axis; each cell is labelled with the
-  // pack's own name.
   const std::string scenario_paths = flags.GetString("scenarios", "");
   if (!scenario_paths.empty()) {
     for (const std::string& path : StrSplit(scenario_paths, ',')) {
       auto pack = scenario::LoadScenarioFile(path);
       if (!pack.ok()) return Fail(pack.status());
-      spec.scenarios.push_back(
-          core::ScenarioAxisEntry{pack->name, std::move(*pack)});
+      spec.chaos.push_back(core::ChaosAxisEntry{pack->name, std::move(*pack)});
     }
   }
 
@@ -812,8 +618,8 @@ int CmdFuzz(const FlagSet& flags) {
 }
 
 int Usage() {
-  std::cout << "usage: hivesim <list|run|fleet|advise|profile|sweep|"
-               "scenario|fuzz|analyze|lint|perfgate> [--flags]\n"
+  std::cout << "usage: hivesim <list|sweep|analyze|advise|profile|"
+               "scenario|fuzz|lint|perfgate> [--flags]\n"
                "See the header of tools/hivesim_cli.cc for details.\n";
   return 2;
 }
@@ -826,8 +632,6 @@ int main(int argc, char** argv) {
   if (flags.positional().empty()) return Usage();
   const std::string& command = flags.positional().front();
   if (command == "list") return CmdList(flags);
-  if (command == "run") return CmdRun(flags);
-  if (command == "fleet") return CmdFleet(flags);
   if (command == "advise") return CmdAdvise(flags);
   if (command == "profile") return CmdProfile(flags);
   if (command == "sweep") return CmdSweep(flags);
