@@ -16,8 +16,8 @@
 // --bench-json artifact — is the memory ceiling the perf gate tracks.
 //
 // Like the other gated benches, the binary self-checks determinism first
-// (same seed => same meters, completions, and event count) and exits
-// non-zero on divergence.
+// (same seed => same meters, completions, event count, and network work
+// counters) and exits non-zero on divergence.
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +43,7 @@ struct FleetResult {
   uint64_t completions = 0;
   uint64_t heartbeats = 0;
   uint64_t events_fired = 0;
+  bench::NetWorkCounters work;  // Only filled by RunCountedFleet.
 };
 
 FleetResult RunFleet(int peers, uint64_t seed) {
@@ -143,12 +144,22 @@ void BM_Fleet(benchmark::State& state) {
 BENCHMARK(BM_Fleet)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
+// The self-check world, with its metrics in a private registry so the
+// network's work counters join the checked result.
+FleetResult RunCountedFleet() {
+  bench::PrivateMetrics metrics;
+  FleetResult result = RunFleet(1000, 29);
+  result.work = metrics.net_work();
+  return result;
+}
+
 // Same-seed runs must be bit-reproducible before any timing is trusted.
 FleetResult CheckFleetDeterminism() {
-  const FleetResult a = RunFleet(1000, 29);
-  const FleetResult b = RunFleet(1000, 29);
+  const FleetResult a = RunCountedFleet();
+  const FleetResult b = RunCountedFleet();
   if (a.total_bytes != b.total_bytes || a.completions != b.completions ||
-      a.heartbeats != b.heartbeats || a.events_fired != b.events_fired) {
+      a.heartbeats != b.heartbeats || a.events_fired != b.events_fired ||
+      a.work != b.work) {
     std::fprintf(stderr,
                  "FLEET_DETERMINISM FAILED: bytes %.17g vs %.17g, "
                  "completions %llu vs %llu, heartbeats %llu vs %llu, "
@@ -163,10 +174,12 @@ FleetResult CheckFleetDeterminism() {
     std::exit(1);
   }
   std::printf("FLEET_DETERMINISM OK (%llu completions, %llu heartbeats, "
-              "%llu events)\n",
+              "%llu events; %.0f solves, %.0f at a repeated timestamp, "
+              "%.0f flow settles)\n",
               (unsigned long long)a.completions,
               (unsigned long long)a.heartbeats,
-              (unsigned long long)a.events_fired);
+              (unsigned long long)a.events_fired, a.work.solves,
+              a.work.solves_same_ts, a.work.flows_settled);
   return a;
 }
 
@@ -181,5 +194,6 @@ int main(int argc, char** argv) {
   perf.AddCheck("fleet_heartbeats", static_cast<double>(fleet.heartbeats));
   perf.AddCheck("fleet_events_fired",
                 static_cast<double>(fleet.events_fired));
+  fleet.work.AddChecks("fleet", perf);
   return perf.RunAndReport(&argc, argv);
 }

@@ -38,6 +38,7 @@ struct ChaosRun {
   int interruptions = 0;
   faults::ChaosStats chaos;
   uint64_t fingerprint = 0;
+  bench::NetWorkCounters work;  // Only filled by RunCountedDay.
 };
 
 ChaosRun RunDay(uint64_t seed, bool with_chaos) {
@@ -135,6 +136,15 @@ ChaosRun RunDay(uint64_t seed, bool with_chaos) {
   return run;
 }
 
+// The chaos day with its metrics in a private registry, so the network's
+// work counters join the replay check.
+ChaosRun RunCountedDay(uint64_t seed) {
+  bench::PrivateMetrics metrics;
+  ChaosRun run = RunDay(seed, /*with_chaos=*/true);
+  run.work = metrics.net_work();
+  return run;
+}
+
 const char* BucketEvent(int bucket) {
   switch (bucket) {
     case 1: return "US spot storm (h2-4)";
@@ -149,7 +159,7 @@ ChaosRun PrintChaos() {
   bench::PrintHeading(
       "Section 7: scripted chaos day (4xT4 US + 4xT4 EU, CV, 24h)");
   const ChaosRun calm = RunDay(7, /*with_chaos=*/false);
-  const ChaosRun chaos = RunDay(7, /*with_chaos=*/true);
+  const ChaosRun chaos = RunCountedDay(7);
 
   TableWriter table({"Hours", "Scripted fault", "Calm SPS", "Chaos SPS",
                      "Penalty"});
@@ -173,14 +183,19 @@ ChaosRun PrintChaos() {
 
   // The chaos subsystem's contract: a fixed seed replays the whole day
   // bit-identically (event trace and training outcome).
-  const ChaosRun replay = RunDay(7, /*with_chaos=*/true);
+  const ChaosRun replay = RunCountedDay(7);
   const bool identical = replay.fingerprint == chaos.fingerprint &&
                          replay.total_samples == chaos.total_samples &&
-                         replay.epochs == chaos.epochs;
+                         replay.epochs == chaos.epochs &&
+                         replay.work == chaos.work;
   std::cout << StrFormat(
       "Deterministic replay (seed 7): fingerprint %016llx, %s\n",
       static_cast<unsigned long long>(chaos.fingerprint),
       identical ? "bit-identical" : "MISMATCH");
+  std::cout << StrFormat(
+      "Network work: %.0f solves (%.0f at the same timestamp as the "
+      "previous one), %.0f flow settles.\n",
+      chaos.work.solves, chaos.work.solves_same_ts, chaos.work.flows_settled);
   std::cout << "Throughput collapses inside each fault window and recovers "
                "after it; the partition hour survives by averaging within "
                "the reachable half of the fleet.\n";
@@ -210,5 +225,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(chaos.fingerprint & 0xffffffffu));
   perf.AddCheck("chaos_epochs", static_cast<double>(chaos.epochs));
   perf.AddCheck("chaos_total_samples", chaos.total_samples);
+  chaos.work.AddChecks("chaos", perf);
   return perf.RunAndReport(&argc, argv);
 }

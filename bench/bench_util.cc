@@ -212,4 +212,21 @@ int PerfJsonScope::RunAndReport(int* argc, char** argv) {
   return 0;
 }
 
+void NetWorkCounters::AddChecks(const std::string& prefix,
+                                PerfJsonScope& perf) const {
+  perf.AddCheck(prefix + "_solves", solves);
+  perf.AddCheck(prefix + "_solves_same_ts", solves_same_ts);
+  perf.AddCheck(prefix + "_flows_settled", flows_settled);
+}
+
+PrivateMetrics::PrivateMetrics() : sinks_(/*trace=*/nullptr, &metrics_) {}
+
+NetWorkCounters PrivateMetrics::net_work() const {
+  NetWorkCounters counters;
+  counters.solves = metrics_.CounterValue("net.solves");
+  counters.solves_same_ts = metrics_.CounterValue("net.solves_same_ts");
+  counters.flows_settled = metrics_.CounterValue("net.flows_settled");
+  return counters;
+}
+
 }  // namespace hivesim::bench

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/table_writer.h"
+#include "telemetry/telemetry.h"
 
 namespace hivesim::bench {
 
@@ -108,6 +109,39 @@ class PerfJsonScope {
   std::string area_;
   std::string json_out_;
   std::map<std::string, double> checks_;
+};
+
+/// The network layer's deterministic work counters for one run
+/// (`net.solves`, `net.solves_same_ts`, `net.flows_settled`; see
+/// docs/OBSERVABILITY.md). Registered as perfgate checks, they turn a
+/// complexity regression into check drift that no timing noise hides.
+struct NetWorkCounters {
+  double solves = 0;
+  double solves_same_ts = 0;
+  double flows_settled = 0;
+
+  bool operator==(const NetWorkCounters&) const = default;
+  /// Registers the three counters as `<prefix>_solves`, ...
+  void AddChecks(const std::string& prefix, PerfJsonScope& perf) const;
+};
+
+/// Routes the calling thread's metrics into a private registry for the
+/// scope's lifetime and drops its trace events, leaving the
+/// process-global sinks (and any `--trace-out`/`--metrics-out` dump)
+/// untouched: wrap a determinism self-check run in one to read its work
+/// counters back without growing the process's peak RSS.
+class PrivateMetrics {
+ public:
+  PrivateMetrics();
+
+  PrivateMetrics(const PrivateMetrics&) = delete;
+  PrivateMetrics& operator=(const PrivateMetrics&) = delete;
+
+  NetWorkCounters net_work() const;
+
+ private:
+  telemetry::MetricsRegistry metrics_;
+  telemetry::Telemetry::ScopedSinks sinks_;
 };
 
 }  // namespace hivesim::bench

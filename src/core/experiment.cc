@@ -74,6 +74,9 @@ Result<ExperimentResult> CompleteExperiment(ExperimentWorld& world,
       result.train.duration_sec > 0 ? result.train.duration_sec
                                     : config.duration_sec;
   const double hours = duration / kHour;
+  // Book flows still in flight into the meters and telemetry totals, so
+  // `net.bytes_delivered` does not depend on which meters get read.
+  network.SettleMeters();
 
   // Per-VM billing: egress bucketed by destination site, plus B2 data.
   const auto& members = world.cluster.members();

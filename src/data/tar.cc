@@ -1,5 +1,6 @@
 #include "data/tar.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/strings.h"
@@ -10,6 +11,8 @@ namespace {
 
 constexpr size_t kBlockSize = 512;
 constexpr size_t kNameLen = 100;
+// Entry payloads are read at most this many bytes at a time.
+constexpr size_t kReadChunk = 64 * 1024;
 
 struct TarHeader {
   char name[100];
@@ -135,57 +138,65 @@ Status TarWriter::Finish() {
 }
 
 Result<std::optional<TarEntry>> TarReader::Next() {
-  if (done_) return std::optional<TarEntry>(std::nullopt);
+  // Non-regular entries (directories, links) are skipped in a loop, so a
+  // long run of them costs no stack.
+  while (!done_) {
+    TarHeader h;
+    in_->read(reinterpret_cast<char*>(&h), kBlockSize);
+    if (in_->gcount() == 0 && in_->eof()) {
+      // Clean EOF without terminator blocks: tolerate (some writers do it).
+      done_ = true;
+      break;
+    }
+    if (in_->gcount() != kBlockSize) {
+      return Status::Corruption("truncated tar header");
+    }
+    if (IsZeroBlock(h)) {
+      done_ = true;
+      break;
+    }
+    if (std::memcmp(h.magic, "ustar", 5) != 0) {
+      return Status::Corruption("bad ustar magic");
+    }
 
-  TarHeader h;
-  in_->read(reinterpret_cast<char*>(&h), kBlockSize);
-  if (in_->gcount() == 0 && in_->eof()) {
-    // Clean EOF without terminator blocks: tolerate (some writers do it).
-    done_ = true;
-    return std::optional<TarEntry>(std::nullopt);
-  }
-  if (in_->gcount() != kBlockSize) {
-    return Status::Corruption("truncated tar header");
-  }
-  if (IsZeroBlock(h)) {
-    done_ = true;
-    return std::optional<TarEntry>(std::nullopt);
-  }
-  if (std::memcmp(h.magic, "ustar", 5) != 0) {
-    return Status::Corruption("bad ustar magic");
-  }
+    uint64_t stored_sum = 0;
+    HIVESIM_ASSIGN_OR_RETURN(stored_sum,
+                             ParseOctal(h.chksum, sizeof(h.chksum)));
+    if (stored_sum != HeaderChecksum(h)) {
+      return Status::Corruption("tar header checksum mismatch");
+    }
 
-  uint64_t stored_sum = 0;
-  HIVESIM_ASSIGN_OR_RETURN(stored_sum, ParseOctal(h.chksum, sizeof(h.chksum)));
-  if (stored_sum != HeaderChecksum(h)) {
-    return Status::Corruption("tar header checksum mismatch");
-  }
+    uint64_t size = 0;
+    HIVESIM_ASSIGN_OR_RETURN(size, ParseOctal(h.size, sizeof(h.size)));
 
-  uint64_t size = 0;
-  HIVESIM_ASSIGN_OR_RETURN(size, ParseOctal(h.size, sizeof(h.size)));
-
-  TarEntry entry;
-  entry.name.assign(h.name, strnlen(h.name, kNameLen));
-  entry.data.resize(size);
-  if (size > 0) {
-    in_->read(reinterpret_cast<char*>(entry.data.data()),
-              static_cast<std::streamsize>(size));
-    if (static_cast<uint64_t>(in_->gcount()) != size) {
-      return Status::Corruption("truncated tar entry data");
+    TarEntry entry;
+    entry.name.assign(h.name, strnlen(h.name, kNameLen));
+    // The header's size is a claim, not a fact: read in bounded chunks
+    // and grow only as bytes arrive, so a short archive claiming a huge
+    // entry costs its own length in memory, not the claimed size.
+    while (entry.data.size() < size) {
+      const size_t have = entry.data.size();
+      const size_t chunk = static_cast<size_t>(
+          std::min<uint64_t>(kReadChunk, size - have));
+      entry.data.resize(have + chunk);
+      in_->read(reinterpret_cast<char*>(entry.data.data() + have),
+                static_cast<std::streamsize>(chunk));
+      if (static_cast<size_t>(in_->gcount()) != chunk) {
+        return Status::Corruption("truncated tar entry data");
+      }
+    }
+    const size_t padding = (kBlockSize - size % kBlockSize) % kBlockSize;
+    if (padding > 0) {
+      in_->ignore(static_cast<std::streamsize>(padding));
+      if (static_cast<size_t>(in_->gcount()) != padding) {
+        return Status::Corruption("truncated tar entry padding");
+      }
+    }
+    if (h.typeflag == '0' || h.typeflag == '\0') {
+      return std::optional<TarEntry>(std::move(entry));
     }
   }
-  const size_t padding = (kBlockSize - size % kBlockSize) % kBlockSize;
-  if (padding > 0) {
-    in_->ignore(static_cast<std::streamsize>(padding));
-    if (static_cast<size_t>(in_->gcount()) != padding) {
-      return Status::Corruption("truncated tar entry padding");
-    }
-  }
-  if (h.typeflag != '0' && h.typeflag != '\0') {
-    // Skip non-regular entries (directories, links) transparently.
-    return Next();
-  }
-  return std::optional<TarEntry>(std::move(entry));
+  return std::optional<TarEntry>(std::nullopt);
 }
 
 }  // namespace hivesim::data

@@ -121,6 +121,7 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   flow.total_bytes = bytes;
   flow.remaining_bytes = bytes;
   flow.rate_bps = 0;
+  flow.settled_sec = flow.started_sec;
   flow.on_complete = std::move(on_complete);
   flows_started_counter_.Add();
 
@@ -194,6 +195,7 @@ bool Network::CancelFlow(FlowId id) {
   const FlowSlot slot = it->second;
   Progress();
   Flow& flow = flow_slab_[slot];
+  SettleFlow(flow, sim_->Now());
   if (flow.has_completion_event) {
     sim_->Cancel(flow.completion_event);
   }
@@ -285,19 +287,27 @@ double Network::FlowRate(FlowId id) const {
   return it == flow_index_.end() ? 0.0 : flow_slab_[it->second].rate_bps;
 }
 
-void Network::Progress() {
-  const double now = sim_->Now();
-  const double dt = now - last_update_;
-  last_update_ = now;
+void Network::Progress() { last_update_ = sim_->Now(); }
+
+void Network::SettleFlow(Flow& flow, double now) {
+  const double dt = now - flow.settled_sec;
   if (dt <= 0) return;
+  flow.settled_sec = now;
+  flows_settled_counter_.Add();
+  const double moved = std::min(flow.remaining_bytes, flow.rate_bps * dt);
+  if (moved > 0) {
+    flow.remaining_bytes -= moved;
+    MeterBytesSited(flow.src, flow.dst, flow.src_site, flow.dst_site, moved);
+  }
+}
+
+void Network::SettleMeters() {
+  if (meters_settled_sec_ == last_update_) return;
+  meters_settled_sec_ = last_update_;
+  // Slot order, like every other slab walk: identically seeded runs
+  // book the same additions in the same order.
   for (Flow& flow : flow_slab_) {
-    if (flow.id == 0) continue;
-    const double moved = std::min(flow.remaining_bytes, flow.rate_bps * dt);
-    if (moved > 0) {
-      flow.remaining_bytes -= moved;
-      MeterBytesSited(flow.src, flow.dst, flow.src_site, flow.dst_site,
-                      moved);
-    }
+    if (flow.id != 0) SettleFlow(flow, last_update_);
   }
 }
 
@@ -371,6 +381,12 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
     }
   }
   if (comp_flow_slots_.empty()) return;
+  const double now = sim_->Now();
+  if (telemetry::Enabled()) {
+    solves_counter_.Add();
+    if (now == last_solve_sec_) solves_same_ts_counter_.Add();
+    last_solve_sec_ = now;
+  }
 
   // --- Water-filling over dense per-component arrays. All unfrozen flows
   // always hold the same allocation (the water level L), so the
@@ -505,13 +521,19 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
   // --- Apply rates in sorted order. A completion event is only touched
   // when the flow's rate actually moved (epsilon-compared): unchanged
   // flows progress linearly, so their already-scheduled deadline stays
-  // exact and the kernel sees no cancel/reschedule churn for them.
+  // exact and the kernel sees no cancel/reschedule churn for them. A
+  // flow is settled at its old rate only when the new rate's bits
+  // differ; the others keep accruing from their settle point. A flow
+  // that reaches the deadline computation below is current either way:
+  // its rate changed (settled here), it was just started, or its
+  // deadline fired (settled by OnFlowDeadline).
   for (size_t i = 0; i < num_flows; ++i) {
     const FlowSlot fs = comp_flow_slots_[i];
     Flow& flow = flow_slab_[fs];
     const double new_rate = comp_flow_rate_[i];
     const bool rate_changed =
         std::fabs(new_rate - flow.rate_bps) > kEpsilonRate;
+    if (new_rate != flow.rate_bps) SettleFlow(flow, now);
     flow.rate_bps = new_rate;
     if (flow.has_completion_event) {
       if (!rate_changed) continue;
@@ -554,6 +576,7 @@ void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
   Flow& flow = flow_slab_[slot];
   flow.has_completion_event = false;
   Progress();
+  SettleFlow(flow, sim_->Now());
   // Done when the payload is delivered up to floating-point residue, or
   // when the residue is so small that rescheduling would not advance the
   // simulation clock (which would loop forever).
@@ -656,21 +679,25 @@ void Network::MeterBytesSited(NodeId src, NodeId dst, SiteId src_site,
   }
 }
 
-double Network::BytesBetweenNodes(NodeId src, NodeId dst) const {
+double Network::BytesBetweenNodes(NodeId src, NodeId dst) {
+  SettleMeters();
   auto it = bytes_by_node_pair_.find(NodePairKey(src, dst));
   return it == bytes_by_node_pair_.end() ? 0.0 : it->second;
 }
 
-double Network::BytesBetweenSites(SiteId src, SiteId dst) const {
+double Network::BytesBetweenSites(SiteId src, SiteId dst) {
+  SettleMeters();
   auto it = bytes_by_site_pair_.find(SitePairKey(src, dst));
   return it == bytes_by_site_pair_.end() ? 0.0 : it->second;
 }
 
-double Network::NodeEgressBytes(NodeId node) const {
+double Network::NodeEgressBytes(NodeId node) {
+  SettleMeters();
   return node < node_egress_bytes_.size() ? node_egress_bytes_[node] : 0.0;
 }
 
-double Network::NodeIngressBytes(NodeId node) const {
+double Network::NodeIngressBytes(NodeId node) {
+  SettleMeters();
   return node < node_ingress_bytes_.size() ? node_ingress_bytes_[node] : 0.0;
 }
 
@@ -679,6 +706,7 @@ double Network::NodePeakEgressRate(NodeId node) const {
 }
 
 void Network::ResetMeters() {
+  SettleMeters();  // Bytes before the reset must not leak past it.
   bytes_by_node_pair_.clear();
   bytes_by_site_pair_.clear();
   std::fill(node_egress_bytes_.begin(), node_egress_bytes_.end(), 0.0);

@@ -40,6 +40,15 @@ struct FlowOptions {
 /// starts or ends, and all byte progress is metered per node pair so the
 /// cloud cost engine can price egress exactly.
 ///
+/// Byte progress is settled lazily: each flow keeps
+/// `(remaining_bytes, rate_bps, settled_sec)` and is advanced only when
+/// its rate is about to change, when its deadline fires, when it is
+/// cancelled, or when a meter is read. A network event therefore costs
+/// O(flows whose rate changed), not O(live flows). The meters report
+/// traffic as of the last network event (flow start, cancel, deadline or
+/// `Refresh`), exactly as eager per-event progress did; see
+/// docs/PERFORMANCE.md ("Lazy flow settlement").
+///
 /// The solver is incremental: each flow's resource keys are computed once
 /// at `StartFlow` and kept in a persistent resource table, so a flow
 /// arrival/removal only re-solves the *dirty component* — the flows
@@ -105,22 +114,35 @@ class Network {
   }
 
   // --- Traffic accounting (all cumulative since construction/reset) ---
+  //
+  // Byte meters read as of the last network event, not `Now()`. A byte
+  // query first settles every live flow up to that event (`SettleMeters`,
+  // at most one O(live flows) pass per event timestamp), so the queries
+  // are not const.
 
   /// Bytes delivered from node `src` to node `dst`.
-  double BytesBetweenNodes(NodeId src, NodeId dst) const;
+  double BytesBetweenNodes(NodeId src, NodeId dst);
   /// Bytes delivered from any node in `src` to any node in `dst`
-  /// (directional; includes src == dst for intra-site traffic). O(1):
-  /// served from a site-pair aggregate maintained alongside the node-pair
+  /// (directional; includes src == dst for intra-site traffic). A single
+  /// lookup in a site-pair aggregate maintained alongside the node-pair
   /// meters on every delivery.
-  double BytesBetweenSites(SiteId src, SiteId dst) const;
+  double BytesBetweenSites(SiteId src, SiteId dst);
   /// Total bytes sent by a node.
-  double NodeEgressBytes(NodeId node) const;
+  double NodeEgressBytes(NodeId node);
   /// Total bytes received by a node.
-  double NodeIngressBytes(NodeId node) const;
+  double NodeIngressBytes(NodeId node);
   /// Highest instantaneous egress rate the node has reached (bytes/sec).
   double NodePeakEgressRate(NodeId node) const;
 
+  /// Books every live flow's bytes up to the last network event into the
+  /// meters and the `net.bytes_delivered` telemetry counters. The byte
+  /// queries and `ResetMeters` call it themselves; call it directly
+  /// before reading telemetry totals without a meter query (end of run).
+  void SettleMeters();
+
   /// Zeroes all meters (peaks included); in-flight flows keep running.
+  /// Bytes delivered before the last network event stay on the old side
+  /// of the reset.
   void ResetMeters();
 
   const Topology& topology() const { return *topology_; }
@@ -157,8 +179,9 @@ class Network {
     SiteId dst_site = 0;
     double started_sec = 0;
     double total_bytes = 0;
-    double remaining_bytes = 0;
+    double remaining_bytes = 0;  // As of `settled_sec`.
     double rate_bps = 0;       // Current fair share.
+    double settled_sec = 0;    // Progress is booked up to this time.
     double stream_cap_bps = 0; // min(path, streams * window/RTT, app cap).
     FlowCallback on_complete;
     sim::EventId completion_event = 0;
@@ -201,11 +224,13 @@ class Network {
   ResSlot AllocResSlot();
   void FreeResSlot(ResSlot slot);
 
-  /// Advances all flows by (now - last_update_) at their current rates and
-  /// books the delivered bytes into the meters. Iterates the flow slab in
-  /// slot order — deterministic, replayed exactly by identically seeded
-  /// runs.
+  /// Marks `Now()` as the time of the latest network event: the point
+  /// meter queries settle up to. O(1) — no flow is touched.
   void Progress();
+  /// Advances one flow from its `settled_sec` to `now` at its current
+  /// rate and books the delivered bytes into the meters. Every flow must
+  /// be settled before its `rate_bps` changes or it leaves the network.
+  void SettleFlow(Flow& flow, double now);
   /// Registers the flow at `slot` in the resource table, creating
   /// resources with the given capacity snapshots on first use, and caches
   /// the resource slots on the flow.
@@ -236,6 +261,12 @@ class Network {
   const Topology* topology_;
   FlowId next_flow_id_ = 1;
   double last_update_ = 0.0;
+  // `last_update_` value of the last SettleMeters pass: all live flows
+  // are settled up to it.
+  double meters_settled_sec_ = 0.0;
+  // Time of the previous component solve (`net.solves_same_ts`); only
+  // tracked while telemetry is on.
+  double last_solve_sec_ = -std::numeric_limits<double>::infinity();
 
   // --- SoA slabs -------------------------------------------------------
   // Flows and resources live in flat slabs addressed by slot; the hash
@@ -284,6 +315,11 @@ class Network {
   telemetry::CounterHandle flows_cancelled_counter_{"net.flows_cancelled"};
   telemetry::CounterHandle flows_completed_counter_{"net.flows_completed"};
   telemetry::CounterHandle messages_counter_{"net.messages"};
+  // Deterministic work counters: the simulator's own cost, not the
+  // simulated world's (docs/OBSERVABILITY.md).
+  telemetry::CounterHandle solves_counter_{"net.solves"};
+  telemetry::CounterHandle solves_same_ts_counter_{"net.solves_same_ts"};
+  telemetry::CounterHandle flows_settled_counter_{"net.flows_settled"};
   std::unordered_map<uint64_t, telemetry::CounterHandle> zone_counters_;
 };
 

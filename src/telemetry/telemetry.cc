@@ -426,16 +426,19 @@ Telemetry::ScopedSinks::ScopedSinks(TraceRecorder* trace,
                                     MetricsRegistry* metrics)
     : prev_trace_(tls_trace_),
       prev_metrics_(tls_metrics_),
-      prev_active_(tls_active_) {
+      prev_active_(tls_active_),
+      prev_drop_trace_(tls_drop_trace_) {
   tls_trace_ = trace;
   tls_metrics_ = metrics;
   tls_active_ = true;
+  tls_drop_trace_ = trace == nullptr;
 }
 
 Telemetry::ScopedSinks::~ScopedSinks() {
   tls_trace_ = prev_trace_;
   tls_metrics_ = prev_metrics_;
   tls_active_ = prev_active_;
+  tls_drop_trace_ = prev_drop_trace_;
 }
 
 void Telemetry::Reset() {

@@ -214,6 +214,9 @@ class Telemetry {
   /// scope's lifetime and forces `Enabled()` on this thread, regardless
   /// of the process-global switch. Scopes nest (LIFO); each sweep worker
   /// wraps one cell's simulation so concurrent cells never alias state.
+  /// A null `trace` makes the scope metrics-only: this thread's spans and
+  /// instants are dropped rather than recorded anywhere (a bench
+  /// self-check that only reads counters back keeps its memory flat).
   class ScopedSinks {
    public:
     ScopedSinks(TraceRecorder* trace, MetricsRegistry* metrics);
@@ -226,7 +229,11 @@ class Telemetry {
     TraceRecorder* prev_trace_;
     MetricsRegistry* prev_metrics_;
     bool prev_active_;
+    bool prev_drop_trace_;
   };
+
+  /// True inside a metrics-only `ScopedSinks` on this thread.
+  static bool TraceDropped() { return tls_drop_trace_; }
 
   /// Clears both process-global sinks (fresh run / determinism replay);
   /// the enabled state and any thread-local overrides are left unchanged.
@@ -240,6 +247,7 @@ class Telemetry {
   static inline thread_local TraceRecorder* tls_trace_ = nullptr;
   static inline thread_local MetricsRegistry* tls_metrics_ = nullptr;
   static inline thread_local bool tls_active_ = false;
+  static inline thread_local bool tls_drop_trace_ = false;
 };
 
 // --- Guarded convenience wrappers (no-ops while telemetry is off) ---
@@ -248,14 +256,14 @@ inline bool Enabled() { return Telemetry::Enabled(); }
 
 inline void Span(double start_sec, double end_sec, std::string_view lane,
                  std::string_view name, std::string args_json = "") {
-  if (Telemetry::Disabled()) return;
+  if (Telemetry::Disabled() || Telemetry::TraceDropped()) return;
   Telemetry::trace().Span(start_sec, end_sec, lane, name,
                           std::move(args_json));
 }
 
 inline void Instant(double at_sec, std::string_view lane,
                     std::string_view name, std::string args_json = "") {
-  if (Telemetry::Disabled()) return;
+  if (Telemetry::Disabled() || Telemetry::TraceDropped()) return;
   Telemetry::trace().Instant(at_sec, lane, name, std::move(args_json));
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -134,6 +138,93 @@ TEST(TarTest, ToleratesCleanEofWithoutTerminator) {
   auto e = r.Next();
   ASSERT_TRUE(e.ok());
   ASSERT_TRUE(e->has_value());
+  auto end = r.Next();
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());
+}
+
+// Rewrites the ustar header at `offset` of `blob` with a new size and
+// typeflag plus a matching checksum, so the reader accepts the header and
+// reaches the field under test.
+void PatchHeader(std::string* blob, size_t offset, uint64_t size,
+                 char typeflag) {
+  char* h = blob->data() + offset;
+  std::snprintf(h + 124, 12, "%011llo", static_cast<unsigned long long>(size));
+  h[156] = typeflag;
+  std::memset(h + 148, ' ', 8);
+  unsigned sum = 0;
+  for (size_t i = 0; i < 512; ++i) sum += static_cast<unsigned char>(h[i]);
+  std::snprintf(h + 148, 8, "%06o", sum);
+  h[155] = ' ';
+}
+
+// Caps this process's address space at its current size plus `headroom`,
+// so an allocation of the size a header merely claims fails loudly. The
+// sanitizers reserve terabytes of shadow memory up front, so under them
+// the cap is left off and the test checks the status alone.
+void CapAddressSpace(size_t headroom) {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  std::ifstream statm("/proc/self/statm");
+  size_t pages = 0;
+  if (statm >> pages) {
+    const rlim_t cap =
+        static_cast<rlim_t>(pages) * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+        headroom;
+    const rlimit limit{cap, cap};
+    setrlimit(RLIMIT_AS, &limit);
+  }
+#else
+  (void)headroom;
+#endif
+}
+
+TEST(TarTest, HugeClaimedEntryIsCorruptionNotAllocation) {
+  // A 1.5 KiB archive whose valid header claims a 1 GiB entry: the reader
+  // must report the truncation after reading what is there, without ever
+  // allocating the claimed size (run under a 256 MiB address-space cap).
+  std::stringstream ss;
+  TarWriter w(ss);
+  ASSERT_TRUE(w.AddFile("x", std::vector<uint8_t>(1000, 7)).ok());
+  std::string blob = ss.str();
+  PatchHeader(&blob, 0, uint64_t{1} << 30, '0');
+  EXPECT_EXIT(
+      {
+        CapAddressSpace(size_t{256} << 20);
+        std::stringstream in(blob);
+        TarReader r(in);
+        auto e = r.Next();
+        std::exit(!e.ok() && e.status().code() == StatusCode::kCorruption
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(TarTest, LongRunOfNonRegularEntriesIsSkippedIteratively) {
+  // 20k directory entries ahead of one file: skipping them by recursion
+  // would need far more stack than a thread has.
+  std::stringstream dir_ss;
+  TarWriter dir_writer(dir_ss);
+  ASSERT_TRUE(dir_writer.AddFile("d/", {}).ok());
+  std::string dir = dir_ss.str();
+  PatchHeader(&dir, 0, 0, '5');
+  std::stringstream file_ss;
+  TarWriter file_writer(file_ss);
+  ASSERT_TRUE(file_writer.AddFile("x", Bytes("payload")).ok());
+  ASSERT_TRUE(file_writer.Finish().ok());
+
+  constexpr int kDirs = 20000;
+  std::string blob;
+  blob.reserve(dir.size() * kDirs + file_ss.str().size());
+  for (int i = 0; i < kDirs; ++i) blob += dir;
+  blob += file_ss.str();
+  std::stringstream in(std::move(blob));
+  TarReader r(in);
+  auto e = r.Next();
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  ASSERT_TRUE(e->has_value());
+  EXPECT_EQ((*e)->name, "x");
+  EXPECT_EQ((*e)->data, Bytes("payload"));
   auto end = r.Next();
   ASSERT_TRUE(end.ok());
   EXPECT_FALSE(end->has_value());

@@ -2,12 +2,14 @@
 
 #include <cmath>
 
+#include "common/strings.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "net/profiler.h"
 #include "net/profiles.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace hivesim::net {
 namespace {
@@ -341,6 +343,98 @@ TEST_F(NetworkTest, RefreshAppliesLinkRecoveryToo) {
   // The flow's stream cap was fixed at start (25 Mb/s): recovery cannot
   // exceed the cap it negotiated, so it still finishes at 8 s.
   EXPECT_NEAR(done_at, 8.0, 0.01);
+}
+
+// --- Lazy metering contract: meters read as of the last network event ---
+
+TEST_F(NetworkTest, MidFlightQueryReadsAsOfLastNetworkEvent) {
+  BuildTwoSites(/*local_gbps=*/10, /*wan_mbps=*/80, /*wan_rtt_ms=*/1);
+  // 10 MB/s over the WAN plus a long local flow into n0. After t=0 the
+  // only network events are the start at t=1 and the cancel at t=3.
+  const NodeId n3 = topo_.AddNode(a_);
+  ASSERT_TRUE(network_.StartFlow(n0_, n2_, 100 * kMB, nullptr).ok());
+  auto side = network_.StartFlow(n1_, n0_, 1e12, nullptr);
+  ASSERT_TRUE(side.ok());
+  const double side_rate = network_.FlowRate(*side);
+  ASSERT_GT(side_rate, 0);
+  sim_.Schedule(1.0, [&] {
+    ASSERT_TRUE(network_.StartFlow(n3, n2_, 1e12, nullptr).ok());
+  });
+  sim_.RunUntil(1.5);
+  // The last network event was the start at t=1, not Now() = 1.5.
+  EXPECT_NEAR(network_.BytesBetweenNodes(n0_, n2_), 10 * kMB, 1e-3);
+  EXPECT_NEAR(network_.NodeEgressBytes(n0_), 10 * kMB, 1e-3);
+  EXPECT_NEAR(network_.BytesBetweenSites(a_, b_), 10 * kMB, 1e-3);
+  EXPECT_NEAR(network_.NodeIngressBytes(n0_), side_rate, 1e-3);
+  // A repeated query at the same event time reads the same bytes.
+  EXPECT_EQ(network_.NodeEgressBytes(n0_), network_.NodeEgressBytes(n0_));
+
+  // From t=1 the WAN path is shared by two flows (5 MB/s each). The next
+  // event (cancel at t=3) moves the meters to t=3.
+  sim_.Schedule(1.5, [&] { EXPECT_TRUE(network_.CancelFlow(*side)); });
+  sim_.RunUntil(3.5);
+  EXPECT_NEAR(network_.BytesBetweenNodes(n0_, n2_), 20 * kMB, 1e-3);
+  EXPECT_NEAR(network_.BytesBetweenNodes(n3, n2_), 10 * kMB, 1e-3);
+  EXPECT_NEAR(network_.NodeIngressBytes(n0_), 3 * side_rate, 1e-3);
+}
+
+TEST_F(NetworkTest, ResetMetersMidFlightNeitherLosesNorLeaksBytes) {
+  BuildTwoSites(/*local_gbps=*/10, /*wan_mbps=*/80, /*wan_rtt_ms=*/1);
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  ASSERT_TRUE(network_.StartFlow(n0_, n2_, 100 * kMB, nullptr).ok());
+  auto side = network_.StartFlow(n1_, n0_, 1e12, nullptr);
+  ASSERT_TRUE(side.ok());
+  sim_.Schedule(1.0, [&] { EXPECT_TRUE(network_.CancelFlow(*side)); });
+  sim_.RunUntil(1.0);
+  // No meter was read before the reset: the 10 MB delivered by t=1 must
+  // still land on the old side of it.
+  network_.ResetMeters();
+  EXPECT_DOUBLE_EQ(network_.NodeEgressBytes(n0_), 0);
+  sim_.Run();
+  EXPECT_NEAR(network_.BytesBetweenNodes(n0_, n2_), 90 * kMB, 1e-3);
+  EXPECT_NEAR(network_.BytesBetweenSites(a_, b_), 90 * kMB, 1e-3);
+  // Telemetry counters never reset: before + after is the whole flow.
+  EXPECT_NEAR(metrics.CounterValue(telemetry::LabeledName(
+                  "net.bytes_delivered", {{"src_zone", "a"},
+                                          {"dst_zone", "b"}})),
+              100 * kMB, 1e-3);
+}
+
+TEST_F(NetworkTest, CancelAfterTwoRateChangesMetersDeliveredBytes) {
+  BuildTwoSites(/*local_gbps=*/10, /*wan_mbps=*/80, /*wan_rtt_ms=*/1);
+  telemetry::TraceRecorder trace;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(&trace, &metrics);
+  const double total = 100 * kMB;
+  auto flow = network_.StartFlow(n0_, n2_, total, nullptr);
+  ASSERT_TRUE(flow.ok());
+  Result<FlowId> rival = Status::NotFound("not started");
+  // Rate 10 MB/s, halved at t=1 by a rival on the WAN path, restored at
+  // t=3 when the rival is cancelled; the flow itself is cancelled at t=4.
+  sim_.Schedule(1.0, [&] {
+    rival = network_.StartFlow(n1_, n2_, total, nullptr);
+    ASSERT_TRUE(rival.ok());
+  });
+  sim_.Schedule(3.0, [&] { EXPECT_TRUE(network_.CancelFlow(*rival)); });
+  sim_.Schedule(4.0, [&] { EXPECT_TRUE(network_.CancelFlow(*flow)); });
+  sim_.Run();
+  const double delivered = network_.BytesBetweenNodes(n0_, n2_);
+  EXPECT_NEAR(delivered, 30 * kMB, 30 * kMB * 1e-12);
+  EXPECT_NEAR(network_.BytesBetweenNodes(n1_, n2_), 10 * kMB,
+              10 * kMB * 1e-12);
+  // The cancel instant reports total - remaining from the flow's own
+  // state; the meter must have booked exactly that.
+  bool found = false;
+  for (const auto& event : trace.events()) {
+    if (event.name != "flow-cancel 0->2") continue;
+    found = true;
+    EXPECT_NE(event.args_json.find(StrFormat("\"delivered_bytes\":%.0f",
+                                             delivered)),
+              std::string::npos)
+        << event.args_json;
+  }
+  EXPECT_TRUE(found);
 }
 
 // --- Topology ---

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <numeric>
 
 #include "common/rng.h"
@@ -17,6 +19,7 @@
 #include "net/network.h"
 #include "net/profiles.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace hivesim {
 namespace {
@@ -202,6 +205,149 @@ TEST_P(NetworkFairnessTest, ConservationAndCapRespect) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetworkFairnessTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// --- Lazy metering: meters agree with eagerly integrated rates ---
+
+class LazyMeteringTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LazyMeteringTest, MetersMatchIntegratedRatesUnderChurn) {
+  // Random starts and cancels; an oracle integrates every live flow's
+  // FlowRate() over each interval between network events (the eager
+  // per-event progress the network no longer does). At checkpoints —
+  // made network events by a Refresh, so "as of the last network event"
+  // is Now() — the lazily settled meters must agree with it.
+  Rng rng(GetParam());
+  sim::Simulator sim;
+  net::Topology topo = net::StandardWorld();
+  std::vector<net::NodeId> nodes;
+  for (int i = 0; i < 16; ++i) {
+    const auto site =
+        static_cast<net::SiteId>(rng.UniformInt(0, net::kNumStandardSites - 1));
+    nodes.push_back(topo.AddNode(site, net::CloudVmNetConfig()));
+  }
+  net::Network network(&sim, &topo);
+
+  struct OracleFlow {
+    double bytes = 0;
+    double rate = 0;
+    double delivered = 0;
+  };
+  std::map<net::FlowId, OracleFlow> live;  // Ordered: deterministic sums.
+  std::vector<net::FlowId> started;
+  double finished_bytes = 0;  // Delivered by flows no longer live.
+  double last_event = 0;
+  const auto advance = [&] {
+    const double dt = sim.Now() - last_event;
+    last_event = sim.Now();
+    for (auto& [id, f] : live) f.delivered += f.rate * dt;
+  };
+  const auto reread_rates = [&] {
+    for (auto& [id, f] : live) f.rate = network.FlowRate(id);
+  };
+  const auto retire = [&](net::FlowId id) {
+    auto it = live.find(id);
+    finished_bytes += std::min(it->second.delivered, it->second.bytes);
+    live.erase(it);
+  };
+
+  for (int i = 0; i < 40; ++i) {
+    const auto src = nodes[rng.UniformInt(0, nodes.size() - 1)];
+    auto dst = nodes[rng.UniformInt(0, nodes.size() - 1)];
+    if (dst == src) dst = nodes[(src + 1) % nodes.size()];
+    const double bytes = rng.Uniform(1 * kMB, 300 * kMB);
+    sim.Schedule(rng.Uniform(0, 20), [&, src, dst, bytes] {
+      advance();
+      auto id = std::make_shared<net::FlowId>(0);
+      auto flow = network.StartFlow(src, dst, bytes, [&, id] {
+        advance();
+        retire(*id);
+        reread_rates();
+      });
+      ASSERT_TRUE(flow.ok());
+      *id = *flow;
+      live[*flow] = OracleFlow{bytes, 0, 0};
+      started.push_back(*flow);
+      reread_rates();
+    });
+  }
+  for (int i = 0; i < 15; ++i) {
+    sim.Schedule(rng.Uniform(1, 25), [&] {
+      if (started.empty()) return;
+      const net::FlowId victim =
+          started[rng.UniformInt(0, started.size() - 1)];
+      if (live.count(victim) == 0) return;
+      advance();
+      ASSERT_TRUE(network.CancelFlow(victim));
+      retire(victim);
+      reread_rates();
+    });
+  }
+  int checkpoints = 0;
+  const auto check = [&] {
+    advance();
+    network.Refresh();
+    reread_rates();
+    double expected = finished_bytes;
+    for (const auto& [id, f] : live) {
+      expected += std::min(f.delivered, f.bytes);
+    }
+    double egress = 0, ingress = 0, by_site = 0;
+    for (net::NodeId n : nodes) {
+      egress += network.NodeEgressBytes(n);
+      ingress += network.NodeIngressBytes(n);
+    }
+    for (net::SiteId s = 0; s < topo.num_sites(); ++s) {
+      for (net::SiteId d = 0; d < topo.num_sites(); ++d) {
+        by_site += network.BytesBetweenSites(s, d);
+      }
+    }
+    const double tol = 1e-9 * std::max(1.0, expected);
+    EXPECT_NEAR(egress, expected, tol) << "t=" << sim.Now();
+    EXPECT_NEAR(ingress, expected, tol) << "t=" << sim.Now();
+    EXPECT_NEAR(by_site, expected, tol) << "t=" << sim.Now();
+    ++checkpoints;
+  };
+  for (int k = 1; k <= 12; ++k) sim.ScheduleAt(2.5 * k, check);
+  sim.Run();
+  check();
+  EXPECT_EQ(checkpoints, 13);
+  EXPECT_TRUE(live.empty());
+  EXPECT_GT(finished_bytes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LazyMeteringTest,
+                         ::testing::Values(1, 2, 3, 5, 8));
+
+// After CompleteExperiment the telemetry byte total must already cover
+// flows still in flight at the end, whether or not a meter was read.
+TEST(LazyMeteringExperimentTest, TelemetryTotalsCoverFlowsInFlightAtStop) {
+  core::ClusterSpec cluster;
+  cluster.groups = {core::GcT4s(2)};
+  core::ExperimentConfig config;
+  config.model = ModelId::kConvNextLarge;
+  config.duration_sec = kHour / 4;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  auto world = core::BuildExperimentWorld(cluster, config);
+  ASSERT_TRUE(world.ok());
+  // A bulk transfer beside the training traffic, far from done at stop
+  // (the trainer cancels its own flows when it stops).
+  const auto& members = (*world)->cluster.members();
+  ASSERT_TRUE((*world)
+                  ->network->StartFlow(members[0].node, members[1].node,
+                                       1e15, nullptr)
+                  .ok());
+  ASSERT_TRUE(core::CompleteExperiment(**world, config).ok());
+  ASSERT_EQ((*world)->network->active_flows(), 1u);
+  // Read the registry before any further meter query.
+  const double counted = metrics.CounterValue("net.bytes_delivered");
+  double egress = 0;
+  for (net::NodeId n = 0; n < (*world)->topology.num_nodes(); ++n) {
+    egress += (*world)->network->NodeEgressBytes(n);
+  }
+  EXPECT_GT(egress, 0);
+  EXPECT_NEAR(counted, egress, 1e-9 * egress);
+}
 
 // --- Simulator ordering under random churn ---
 

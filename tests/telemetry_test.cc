@@ -469,6 +469,30 @@ TEST_F(TelemetryTest, ScopedSinksRouteThisThreadAndRestoreOnExit) {
   Telemetry::Enable();  // Restore the fixture's expected state.
 }
 
+TEST_F(TelemetryTest, MetricsOnlyScopeDropsTraceEvents) {
+  MetricsRegistry private_metrics;
+  TraceRecorder inner_trace;
+  {
+    Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &private_metrics);
+    EXPECT_TRUE(Telemetry::TraceDropped());
+    Span(0, 1, "net", "flow");
+    Instant(1, "net", "cancel");
+    Count("c", 2);
+    {
+      // A nested scope with a recorder traces again, then restores.
+      Telemetry::ScopedSinks inner(&inner_trace, &private_metrics);
+      EXPECT_FALSE(Telemetry::TraceDropped());
+      Span(1, 2, "net", "flow");
+    }
+    EXPECT_TRUE(Telemetry::TraceDropped());
+  }
+  EXPECT_FALSE(Telemetry::TraceDropped());
+  EXPECT_DOUBLE_EQ(private_metrics.CounterValue("c"), 2.0);
+  EXPECT_EQ(inner_trace.size(), 1u);
+  // Dropped, not redirected: the process-global trace saw nothing.
+  EXPECT_EQ(Telemetry::trace().size(), 0u);
+}
+
 TEST_F(TelemetryTest, IdenticallySeededChaosRunsRenderByteIdentically) {
   const RenderedRun first = ChaosRun(11);
   const RenderedRun second = ChaosRun(11);
