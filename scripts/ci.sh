@@ -30,10 +30,16 @@
 #      set, then the committed regression reproducers under
 #      tests/scenarios/ are replayed and must stay green
 #      (docs/SCENARIOS.md),
-#   8. a perf smoke: BM_Fleet/1000 (bench_fleet) runs once, bounded, so
+#   8. the hivebench references: each end-to-end workload
+#      (hivebench/run.py, its own Release build under .bench_build/)
+#      runs one short pass at the default seed and must reproduce the
+#      simulated outputs committed in hivebench/reference/ — the one
+#      check that sees a change in rate bits, event counts or cancels
+#      across whole worlds; its timings are not gated here,
+#   9. a perf smoke: BM_Fleet/1000 (bench_fleet) runs once, bounded, so
 #      a fleet-scale hang or determinism break surfaces before the full
 #      gate spends time on the other areas,
-#   9. the perf gate: the five gated bench binaries run with
+#  10. the perf gate: the five gated bench binaries run with
 #      --bench-json (each self-checks determinism first and exits
 #      non-zero on divergence), then `hivesim perfgate` compares the
 #      fresh BENCH_<area>.json artifacts against the committed baselines
@@ -126,6 +132,20 @@ echo "=== fuzz soak: bounded chaos-fuzz campaign + regression replay ==="
 ./build/tools/hivesim fuzz --seed 1 --runs 1500 --budget-sec 30 \
   --sim-minutes 30 --max-events 8
 ./build/tools/hivesim fuzz --replay-dir tests/scenarios
+
+echo "=== hivebench references: workloads reproduce their committed outputs ==="
+for workload in fleet_churn chaos_swarm paper_sweep; do
+  # The last line is the result object; pipefail stops the script when
+  # run.py cannot build or run the workload.
+  result="$(python3 hivebench/run.py --workload "$workload" --seconds 1 \
+    --trace 0 | tail -n 1)"
+  echo "$workload: $result"
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "hivebench $workload no longer reproduces" \
+      "hivebench/reference/$workload.json" >&2
+    exit 1
+  fi
+done
 
 echo "=== perf smoke: BM_Fleet/1000 bounded sanity run ==="
 cmake --build --preset default -j "$(nproc)" --target bench_fleet

@@ -28,6 +28,10 @@ Network::Network(sim::Simulator* sim, const Topology* topology)
   node_peak_egress_.resize(topology_->num_nodes(), 0.0);
 }
 
+Network::~Network() {
+  if (!pending_arrivals_.empty()) sim_->WithdrawEndOfTimestamp(this);
+}
+
 Network::FlowSlot Network::AllocFlowSlot() {
   ++live_flows_;
   if (!free_flow_slots_.empty()) {
@@ -169,7 +173,10 @@ Result<FlowId> Network::StartFlow(NodeId src, NodeId dst, double bytes,
   flow_slab_[slot] = std::move(flow);
   flow_index_.emplace(id, slot);
   AddFlowToResources(slot, caps);
-  SolveComponent(flow_slab_[slot].keys, flow_slab_[slot].num_keys);
+  // Solved at the end of the timestamp, together with every other flow
+  // that joins its component by then (FlushArrivals).
+  if (pending_arrivals_.empty()) sim_->DeferToEndOfTimestamp(this);
+  pending_arrivals_.push_back(slot);
   return id;
 }
 
@@ -193,6 +200,7 @@ bool Network::CancelFlow(FlowId id) {
   auto it = flow_index_.find(id);
   if (it == flow_index_.end()) return false;
   const FlowSlot slot = it->second;
+  FlushArrivals();
   Progress();
   Flow& flow = flow_slab_[slot];
   SettleFlow(flow, sim_->Now());
@@ -211,10 +219,10 @@ bool Network::CancelFlow(FlowId id) {
             topology_->site(flow.src_site).name.c_str(),
             topology_->site(flow.dst_site).name.c_str()));
   }
-  RemoveFlowFromResources(slot);
-  ResourceKey seed[3];
-  std::copy(flow.keys, flow.keys + flow.num_keys, seed);
+  ResSlot seed[3];
+  std::copy(flow.res_slots, flow.res_slots + flow.num_keys, seed);
   const int num_seed = flow.num_keys;
+  RemoveFlowFromResources(slot);
   flow_index_.erase(it);
   FreeFlowSlot(slot);
   SolveComponent(seed, num_seed);
@@ -248,6 +256,11 @@ Status Network::SendMessage(NodeId src, NodeId dst, double bytes,
 
 void Network::Refresh() {
   Progress();
+  // The re-solve below covers every component, pending arrivals' too.
+  if (!pending_arrivals_.empty()) {
+    sim_->WithdrawEndOfTimestamp(this);
+    pending_arrivals_.clear();
+  }
   // Topology paths may have changed (WAN degradation/recovery): re-read
   // every resource's capacity, then re-solve all components. Flows keep
   // their per-flow stream caps by contract. Both passes walk the slabs in
@@ -278,11 +291,12 @@ void Network::Refresh() {
     if (flow_mark_[slot] > already_solved) {
       continue;  // Covered by a prior component.
     }
-    SolveComponent(flow.keys, flow.num_keys);
+    SolveComponent(flow.res_slots, flow.num_keys);
   }
 }
 
-double Network::FlowRate(FlowId id) const {
+double Network::FlowRate(FlowId id) {
+  FlushArrivals();
   auto it = flow_index_.find(id);
   return it == flow_index_.end() ? 0.0 : flow_slab_[it->second].rate_bps;
 }
@@ -348,22 +362,40 @@ void Network::RemoveFlowFromResources(FlowSlot slot) {
   }
 }
 
-void Network::SolveComponent(const ResourceKey* seed_keys,
-                             int num_seed_keys) {
+void Network::FlushArrivals() {
+  if (pending_arrivals_.empty()) return;
+  sim_->WithdrawEndOfTimestamp(this);  // A no-op when called from the hook.
+  // Every solve below takes an epoch above `flushed` and stamps it on the
+  // flows it visits; flow marks are never rewritten (unlike resource
+  // marks, which the peak-egress pass moves to `epoch - 1`). A mark above
+  // `flushed` therefore means "already solved with an earlier arrival".
+  const uint64_t flushed = solve_epoch_;
+  for (const FlowSlot slot : pending_arrivals_) {
+    if (flow_mark_[slot] > flushed) continue;
+    const Flow& flow = flow_slab_[slot];
+    SolveComponent(flow.res_slots, flow.num_keys);
+  }
+  pending_arrivals_.clear();
+}
+
+void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   // --- Gather the dirty component: BFS over the bipartite flow/resource
   // sharing graph starting from the seed resources. Every flow of every
   // visited resource joins, so by closure a resource's unfrozen count is
-  // simply its user count. Only the seeds are hash lookups; the BFS walks
-  // slab indices (resource user lists and per-flow cached slots).
+  // simply its user count. No hash lookup: the seeds are the changed
+  // flow's cached resource slots, and the BFS walks slab indices
+  // (resource user lists and per-flow cached slots).
   const uint64_t epoch = ++solve_epoch_;
   comp_flow_slots_.clear();
   comp_res_slots_.clear();
   size_t scan = 0;
-  for (int i = 0; i < num_seed_keys; ++i) {
-    auto it = res_index_.find(seed_keys[i]);
-    if (it == res_index_.end() || res_mark_[it->second] == epoch) continue;
-    res_mark_[it->second] = epoch;
-    comp_res_slots_.push_back(it->second);
+  for (int i = 0; i < num_seeds; ++i) {
+    const ResSlot rs = seeds[i];
+    // A removal frees the resources it left without users; nothing has
+    // been allocated since, so a freed seed is still marked free.
+    if (!res_slab_[rs].live || res_mark_[rs] == epoch) continue;
+    res_mark_[rs] = epoch;
+    comp_res_slots_.push_back(rs);
   }
   while (scan < comp_res_slots_.size()) {
     const ResSlot rs = comp_res_slots_[scan++];
@@ -386,6 +418,8 @@ void Network::SolveComponent(const ResourceKey* seed_keys,
     solves_counter_.Add();
     if (now == last_solve_sec_) solves_same_ts_counter_.Add();
     last_solve_sec_ = now;
+    telemetry::Observe("net.component_flows",
+                       static_cast<double>(comp_flow_slots_.size()));
   }
 
   // --- Water-filling over dense per-component arrays. All unfrozen flows
@@ -591,13 +625,18 @@ void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
   } else {
     // Sub-epsilon rate drift left residue; re-solving the component
     // schedules this flow a fresh deadline (its event already fired).
-    SolveComponent(flow.keys, flow.num_keys);
+    FlushArrivals();
+    SolveComponent(flow.res_slots, flow.num_keys);
   }
 }
 
 void Network::FinishFlow(FlowSlot slot) {
   Flow& flow = flow_slab_[slot];
   if (flow.id == 0) return;
+  FlushArrivals();
+  // A flow finishing at a timestamp where its component gained arrivals
+  // gets a fresh deadline from that flush; it must not fire.
+  if (flow.has_completion_event) sim_->Cancel(flow.completion_event);
   if (telemetry::Enabled()) {
     flows_completed_counter_.Add();
     // Zone identity rides in the span args so the critical-path analyzer
@@ -611,10 +650,10 @@ void Network::FinishFlow(FlowSlot slot) {
                   topology_->site(flow.dst_site).name.c_str()));
   }
   FlowCallback cb = std::move(flow.on_complete);
-  RemoveFlowFromResources(slot);
-  ResourceKey seed[3];
-  std::copy(flow.keys, flow.keys + flow.num_keys, seed);
+  ResSlot seed[3];
+  std::copy(flow.res_slots, flow.res_slots + flow.num_keys, seed);
   const int num_seed = flow.num_keys;
+  RemoveFlowFromResources(slot);
   flow_index_.erase(flow.id);
   FreeFlowSlot(slot);
   SolveComponent(seed, num_seed);
@@ -701,7 +740,8 @@ double Network::NodeIngressBytes(NodeId node) {
   return node < node_ingress_bytes_.size() ? node_ingress_bytes_[node] : 0.0;
 }
 
-double Network::NodePeakEgressRate(NodeId node) const {
+double Network::NodePeakEgressRate(NodeId node) {
+  FlushArrivals();
   return node < node_peak_egress_.size() ? node_peak_egress_[node] : 0.0;
 }
 

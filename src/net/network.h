@@ -54,6 +54,17 @@ struct FlowOptions {
 /// arrival/removal only re-solves the *dirty component* — the flows
 /// transitively sharing a resource with the changed flow.
 ///
+/// Arrivals are batched per timestamp: `StartFlow` only registers the
+/// flow, and each component that gained flows is solved once, from the
+/// simulator's end-of-timestamp hook, so a collective stage that starts k
+/// transfers at one instant pays one solve of the final component, not k
+/// solves of a growing one. Rates are therefore those as of the end of
+/// the timestamp, and the peak-egress meter only sees states that persist
+/// past it. Removals (`CancelFlow`, completions) still solve at once,
+/// after first solving any pending arrivals; `FlowRate` and
+/// `NodePeakEgressRate` also solve pending arrivals before answering. See
+/// docs/PERFORMANCE.md ("One solve per timestamp (arrivals)").
+///
 /// Storage is structure-of-arrays at fleet scale: flows and resources
 /// live in index-based slabs (`flow_slab_` / `res_slab_`, free-listed,
 /// never shrinking), resource user-lists hold slab indices, and each
@@ -66,11 +77,14 @@ struct FlowOptions {
 /// `remaining -= delta * unfrozen` update are branch-light loops the
 /// compiler can vectorize. The arithmetic is bit-identical to
 /// progressive filling; see docs/PERFORMANCE.md for the invariants.
-class Network {
+class Network : private sim::EndOfTimestampHook {
  public:
   using FlowCallback = std::function<void()>;
 
   Network(sim::Simulator* sim, const Topology* topology);
+  /// Withdraws a pending arrival solve, so the simulator never calls back
+  /// into a destroyed network. The simulator must outlive the network.
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -99,14 +113,17 @@ class Network {
   /// The one-way delay SendMessage would incur right now.
   Result<double> MessageDelay(NodeId src, NodeId dst, double bytes) const;
 
-  /// Re-reads the topology and recomputes all flow rates. Call after
-  /// changing a path with `Topology::SetPath` mid-simulation (live WAN
-  /// degradation/recovery); in-flight flows keep their per-flow stream
-  /// caps but shared path capacities take effect immediately.
+  /// Re-reads the topology and recomputes all flow rates (pending
+  /// arrivals included). Call after changing a path with
+  /// `Topology::SetPath` mid-simulation (live WAN degradation/recovery);
+  /// in-flight flows keep their per-flow stream caps but shared path
+  /// capacities take effect immediately.
   void Refresh();
 
-  /// Current fair-share rate of a flow in bytes/sec (0 if unknown).
-  double FlowRate(FlowId id) const;
+  /// Current fair-share rate of a flow in bytes/sec (0 if unknown). Not
+  /// const: flows started at this timestamp are solved first, so the
+  /// answer is the rate as of the end of the timestamp so far.
+  double FlowRate(FlowId id);
 
   /// Number of flows in flight (fair-share and latency-only).
   size_t active_flows() const {
@@ -131,8 +148,9 @@ class Network {
   double NodeEgressBytes(NodeId node);
   /// Total bytes received by a node.
   double NodeIngressBytes(NodeId node);
-  /// Highest instantaneous egress rate the node has reached (bytes/sec).
-  double NodePeakEgressRate(NodeId node) const;
+  /// Highest instantaneous egress rate the node has reached (bytes/sec),
+  /// pending arrivals solved first.
+  double NodePeakEgressRate(NodeId node);
 
   /// Books every live flow's bytes up to the last network event into the
   /// meters and the `net.bytes_delivered` telemetry counters. The byte
@@ -238,12 +256,18 @@ class Network {
   /// Unregisters the flow at `slot`; resources left without users are
   /// dropped.
   void RemoveFlowFromResources(FlowSlot slot);
+  void OnEndOfTimestamp() override { FlushArrivals(); }
+  /// Solves each component holding a pending arrival once, in arrival
+  /// order, and clears the list, withdrawing the end-of-timestamp hook
+  /// when it has not run yet. Removals call it before touching the
+  /// resource table, queries before reading rates.
+  void FlushArrivals();
   /// Re-solves the max-min fair allocation for the connected component of
-  /// flows reachable from `seed_keys` (flows transitively sharing a
-  /// resource). Rates outside the component are untouched, and completion
-  /// events inside it are only rescheduled when the flow's rate moved by
-  /// more than epsilon.
-  void SolveComponent(const ResourceKey* seed_keys, int num_seed_keys);
+  /// flows reachable from the `seeds` resource slots (flows transitively
+  /// sharing a resource); freed seeds are skipped. Rates outside the
+  /// component are untouched, and completion events inside it are only
+  /// rescheduled when the flow's rate moved by more than epsilon.
+  void SolveComponent(const ResSlot* seeds, int num_seeds);
   /// Fires when the flow occupying `slot` (verified against `id`) is
   /// expected to finish.
   void OnFlowDeadline(FlowSlot slot, FlowId id);
@@ -288,6 +312,10 @@ class Network {
   std::vector<uint64_t> res_mark_;
   std::vector<uint32_t> res_comp_pos_;
   uint64_t solve_epoch_ = 0;
+  // Flows started since the last solve of their component, in start
+  // order. The first arrival requests the end-of-timestamp hook; every
+  // path that empties the list runs or withdraws it.
+  std::vector<FlowSlot> pending_arrivals_;
 
   // Per-component SoA scratch (cleared per solve, capacity retained).
   // Flow arrays are parallel and sorted by (stream cap, flow id);

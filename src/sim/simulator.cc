@@ -193,6 +193,7 @@ bool Simulator::PopNextLive(QueueEntry* entry) {
 }
 
 bool Simulator::Step() {
+  if (!end_hooks_.empty()) EndTimestamp();
   QueueEntry entry;
   if (!PopNextLive(&entry)) return false;
   assert(entry.when >= now_);
@@ -269,14 +270,47 @@ size_t Simulator::FireCohort(double bound, bool bounded) {
   return fired;
 }
 
-void Simulator::Run() {
-  while (FireCohort(0.0, /*bounded=*/false) > 0) {
+void Simulator::DeferToEndOfTimestamp(EndOfTimestampHook* hook) {
+  assert(std::find(end_hooks_.begin(), end_hooks_.end(), hook) ==
+         end_hooks_.end());
+  end_hooks_.push_back(hook);
+}
+
+void Simulator::WithdrawEndOfTimestamp(EndOfTimestampHook* hook) {
+  auto it = std::find(end_hooks_.begin(), end_hooks_.end(), hook);
+  if (it != end_hooks_.end()) end_hooks_.erase(it);
+}
+
+void Simulator::EndTimestamp() {
+  while (!end_hooks_.empty()) {
+    // A live event still due now fires first; the loop that fired it
+    // comes back here afterwards.
+    while (!queue_.empty()) {
+      const QueueEntry& top = queue_.top();
+      if (top.when > now_) break;
+      if (slots_[top.slot].generation == top.generation) return;
+      queue_.pop();
+    }
+    EndOfTimestampHook* hook = end_hooks_.front();
+    end_hooks_.erase(end_hooks_.begin());
+    hook->OnEndOfTimestamp();
   }
 }
 
+// Both loops test for pending hooks before every cohort. EndTimestamp
+// runs them only once nothing live is due at `now_`, which is just
+// before the next cohort moves the clock; the test that follows the last
+// cohort runs them before the loop returns.
+void Simulator::Run() {
+  do {
+    if (!end_hooks_.empty()) EndTimestamp();
+  } while (FireCohort(0.0, /*bounded=*/false) > 0);
+}
+
 void Simulator::RunUntil(double when) {
-  while (FireCohort(when, /*bounded=*/true) > 0) {
-  }
+  do {
+    if (!end_hooks_.empty()) EndTimestamp();
+  } while (FireCohort(when, /*bounded=*/true) > 0);
   if (now_ < when) now_ = when;
 }
 

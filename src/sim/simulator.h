@@ -16,6 +16,18 @@ namespace hivesim::sim {
 /// Never zero for a real event, so 0 works as a "no event" sentinel.
 using EventId = uint64_t;
 
+/// Work a layer batches until every event of the current timestamp has
+/// fired (see `Simulator::DeferToEndOfTimestamp`).
+class EndOfTimestampHook {
+ public:
+  /// Called once no event is left due at `Simulator::Now()`, before the
+  /// clock advances.
+  virtual void OnEndOfTimestamp() = 0;
+
+ protected:
+  ~EndOfTimestampHook() = default;
+};
+
 /// Deterministic discrete-event simulation kernel.
 ///
 /// All higher layers (network flows, VM lifecycles, training loops) are
@@ -67,6 +79,17 @@ class Simulator {
   /// Runs events with timestamps <= `when`, then advances the clock to
   /// `when` even if no event fired exactly there.
   void RunUntil(double when);
+
+  /// Requests one `hook->OnEndOfTimestamp()` call after the last event
+  /// due at `Now()` has fired (events the hooks themselves schedule at
+  /// `Now()` included) and before the clock advances, `Run`/`RunUntil`
+  /// return, or `Step` fires a later event. The call is not an event: it
+  /// never counts in `events_fired()`. Hooks run in request order; a
+  /// hook must not be requested again while it is still pending.
+  void DeferToEndOfTimestamp(EndOfTimestampHook* hook);
+  /// Withdraws a pending request (no-op when `hook` is not pending). The
+  /// owner of a pending hook must call this before the hook dies.
+  void WithdrawEndOfTimestamp(EndOfTimestampHook* hook);
 
   /// Number of events that have fired so far.
   uint64_t events_fired() const { return events_fired_; }
@@ -201,6 +224,11 @@ class Simulator {
   /// `bounded`, a cohort strictly past `bound` is left queued. Returns
   /// the number of events fired (0 means nothing was due).
   size_t FireCohort(double bound, bool bounded);
+  /// Runs the pending end-of-timestamp hooks, oldest request first, as
+  /// long as no live event is due at `now_` (stale heap entries at
+  /// `now_` are dropped on the way). Each hook leaves the pending list
+  /// before it is called.
+  void EndTimestamp();
 
   double now_ = 0.0;
   uint64_t next_seq_ = 0;
@@ -213,6 +241,9 @@ class Simulator {
   // a dispatch, so a callback that re-enters the run loop gets a fresh
   // (empty) buffer instead of clobbering the in-flight cohort.
   std::vector<QueueEntry> cohort_scratch_;
+  // Pending end-of-timestamp hooks, in request order. The run loops test
+  // it once per cohort, so an empty list costs one branch.
+  std::vector<EndOfTimestampHook*> end_hooks_;
 
   telemetry::CounterHandle scheduled_counter_{"sim.events_scheduled"};
   telemetry::CounterHandle cancelled_counter_{"sim.events_cancelled"};

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "common/strings.h"
 #include "common/units.h"
@@ -435,6 +437,170 @@ TEST_F(NetworkTest, CancelAfterTwoRateChangesMetersDeliveredBytes) {
         << event.args_json;
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(NetworkTest, SameTimestampArrivalsShareOneSolve) {
+  BuildTwoSites(/*local_gbps=*/10, /*wan_mbps=*/100, /*wan_rtt_ms=*/1);
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  std::vector<FlowId> flows;
+  // Six flows out of n0 at one instant: one component (n0's egress NIC).
+  sim_.Schedule(1.0, [&] {
+    for (int i = 0; i < 6; ++i) {
+      auto flow =
+          network_.StartFlow(n0_, i % 2 == 0 ? n2_ : n1_, 100 * kGB, nullptr);
+      ASSERT_TRUE(flow.ok());
+      flows.push_back(*flow);
+    }
+    EXPECT_EQ(metrics.CounterValue("net.solves"), 0);  // Not yet.
+  });
+  sim_.RunUntil(1.0);
+  EXPECT_EQ(metrics.CounterValue("net.solves"), 1);
+  EXPECT_EQ(metrics.HistogramCount("net.component_flows"), 1u);
+  // The rates are those of the final component: three flows share the
+  // WAN path.
+  for (size_t i = 0; i < flows.size(); i += 2) {
+    EXPECT_NEAR(network_.FlowRate(flows[i]), MbpsToBytesPerSec(100) / 3,
+                1e-3);
+  }
+
+  // Reading a rate after every arrival forces one solve per arrival, the
+  // order the network used before arrivals were batched.
+  sim_.Schedule(1.0, [&] {
+    for (int i = 0; i < 4; ++i) {
+      auto flow = network_.StartFlow(n1_, n0_, 100 * kGB, nullptr);
+      ASSERT_TRUE(flow.ok());
+      EXPECT_GT(network_.FlowRate(*flow), 0);
+    }
+  });
+  sim_.RunUntil(2.0);
+  EXPECT_EQ(metrics.CounterValue("net.solves"), 5);
+  EXPECT_EQ(metrics.HistogramCount("net.component_flows"), 5u);
+}
+
+// --- Batched arrivals against the one-solve-per-arrival order ---
+//
+// Each case runs twice: batched, and with a `FlowRate` read after every
+// `StartFlow`, which solves the arrival at once (the eager order).
+
+/// One site of nodes with the given NIC egress capacities (bytes/sec).
+struct NicWorld {
+  explicit NicWorld(const std::vector<double>& egress_bps) {
+    const SiteId a = topo.AddSite("a", Provider::kGoogleCloud, Continent::kUs);
+    topo.SetPath(a, a, GbpsToBytesPerSec(100), MsToSec(1));
+    for (const double cap : egress_bps) {
+      NodeNetConfig config;
+      config.nic_egress_bps = cap;
+      nodes.push_back(topo.AddNode(a, config));
+    }
+  }
+  sim::Simulator sim;
+  Topology topo;
+  std::vector<NodeId> nodes;
+};
+
+// A removal water-fills every part it splits off in one round sequence,
+// so its rate bits differ from solving each part alone. A cancel at a
+// timestamp with pending arrivals must solve them first, exactly where
+// the eager order solved them, or a later solve of the arrival's part
+// alone would overwrite the removal's rates.
+TEST(ArrivalOrderTest, CancelSplittingAComponentSolvesArrivalsFirst) {
+  // After the cancel: part X is x alone on n0's NIC (c0), part Y is three
+  // flows on n1's NIC (c1). The joint solve freezes X at c0 first and
+  // reaches Y's level as c0 + (c1 - 3 c0) / 3, which is not c1 / 3 in
+  // floating point for these capacities.
+  const double c0 = 227756287;
+  const double c1 = 1159085833;
+  ASSERT_NE(c0 + (c1 - 3 * c0) / 3, c1 / 3);
+  std::vector<std::vector<double>> rates;
+  for (const bool solve_each_arrival : {true, false}) {
+    NicWorld w({c0, c1, 0, 0, 0, 0});
+    Network network(&w.sim, &w.topo);
+    const std::vector<NodeId>& n = w.nodes;
+    std::vector<FlowId> flows;
+    const auto start = [&](NodeId src, NodeId dst) {
+      auto flow = network.StartFlow(src, dst, 100 * kGB, nullptr);
+      ASSERT_TRUE(flow.ok());
+      flows.push_back(*flow);
+      if (solve_each_arrival) network.FlowRate(*flow);
+    };
+    start(n[0], n[2]);  // x
+    start(n[1], n[3]);  // y1
+    start(n[1], n[5]);  // y3
+    start(n[0], n[3]);  // Links X and Y through n0's NIC and n3's.
+    w.sim.RunUntil(1.0);
+    w.sim.Schedule(0.0, [&] {
+      start(n[1], n[4]);  // y2, pending in the batched run.
+      EXPECT_TRUE(network.CancelFlow(flows[3]));
+    });
+    w.sim.RunUntil(2.0);
+    rates.emplace_back();
+    for (const FlowId id : flows) rates.back().push_back(network.FlowRate(id));
+    EXPECT_EQ(rates.back()[0], c0);
+    EXPECT_EQ(rates.back()[1], c0 + (c1 - 3 * c0) / 3);
+  }
+  EXPECT_EQ(rates[1], rates[0]);
+}
+
+// A deadline due at a timestamp where its component just gained an
+// arrival fires unflushed. The flush inside `FinishFlow` then gives the
+// finishing flow a fresh deadline, which must be cancelled: the eager
+// order never fires it.
+TEST(ArrivalOrderTest, DeadlineBesidePendingArrivalFiresNoStrayEvent) {
+  std::vector<uint64_t> events;
+  for (const bool solve_each_arrival : {true, false}) {
+    NicWorld w({0, 0, 0, 0});
+    Network network(&w.sim, &w.topo);
+    const std::vector<NodeId>& n = w.nodes;
+    double a_done = -1, b_done = -1;
+    // A and B share nothing and finish at the same instant. A's callback
+    // starts C, which shares B's NIC, before B's deadline fires.
+    ASSERT_TRUE(network
+                    .StartFlow(n[0], n[1], 100 * kMB,
+                               [&] {
+                                 a_done = w.sim.Now();
+                                 auto c = network.StartFlow(n[2], n[1],
+                                                            100 * kMB, nullptr);
+                                 ASSERT_TRUE(c.ok());
+                                 if (solve_each_arrival) network.FlowRate(*c);
+                               })
+                    .ok());
+    ASSERT_TRUE(network
+                    .StartFlow(n[2], n[3], 100 * kMB,
+                               [&] { b_done = w.sim.Now(); })
+                    .ok());
+    w.sim.Run();
+    EXPECT_GT(a_done, 0);
+    EXPECT_NEAR(b_done, a_done, 1e-9 * a_done);
+    events.push_back(w.sim.events_fired());
+  }
+  EXPECT_EQ(events[1], events[0]);
+}
+
+// A network destroyed while an arrival solve is pending must withdraw
+// its end-of-timestamp hook: under ASan a call into the freed network is
+// a heap-use-after-free.
+TEST(NetworkLifetimeTest, DestroyedNetworkWithPendingArrivalsIsNotCalledBack) {
+  sim::Simulator sim;
+  Topology topo;
+  const SiteId a = topo.AddSite("a", Provider::kGoogleCloud, Continent::kUs);
+  topo.SetPath(a, a, GbpsToBytesPerSec(10), MsToSec(1));
+  const NodeId n0 = topo.AddNode(a);
+  const NodeId n1 = topo.AddNode(a);
+  bool completed = false;
+  sim.Schedule(1.0, [&] {
+    auto network = std::make_unique<Network>(&sim, &topo);
+    ASSERT_TRUE(network
+                    ->StartFlow(n0, n1, 125 * kMB,
+                                [&completed] { completed = true; })
+                    .ok());
+    ASSERT_EQ(network->active_flows(), 1u);
+  });
+  sim.Schedule(2.0, [] {});
+  sim.Run();
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(sim.Now(), 2.0);
+  EXPECT_EQ(sim.events_fired(), 2u);
 }
 
 // --- Topology ---

@@ -349,6 +349,130 @@ TEST(LazyMeteringExperimentTest, TelemetryTotalsCoverFlowsInFlightAtStop) {
   EXPECT_NEAR(counted, egress, 1e-9 * egress);
 }
 
+// --- Batched arrivals: one solve per timestamp changes no outcome ---
+
+// One random workload — bursts of several flows per timestamp, cancels
+// (some landing on a burst's timestamp) and completions — run with or
+// without a `FlowRate` read after every `StartFlow`. The read solves the
+// pending arrival at once, which restores the one-solve-per-arrival
+// order the network used before arrivals were batched.
+struct ArrivalWorkloadRun {
+  std::vector<std::vector<double>> rates;  // Per snapshot, per flow.
+  std::vector<std::pair<int, double>> completions;  // (flow, time).
+  std::vector<int> cancelled;
+  uint64_t events_fired = 0;
+  std::vector<double> egress;
+  std::vector<double> ingress;
+  double solves = 0;
+};
+
+ArrivalWorkloadRun RunArrivalWorkload(uint64_t seed, bool solve_each_arrival) {
+  ArrivalWorkloadRun run;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  Rng rng(seed);
+  sim::Simulator sim;
+  net::Topology topo = net::StandardWorld();
+  std::vector<net::NodeId> nodes;
+  for (int i = 0; i < 10; ++i) {
+    const auto site =
+        static_cast<net::SiteId>(rng.UniformInt(0, net::kNumStandardSites - 1));
+    // Uneven NICs: when a removal splits a component, one joint solve of
+    // the parts then differs in the last bits from solving each part
+    // alone, so a solve grouped differently from the eager order shows.
+    net::NodeNetConfig config = net::CloudVmNetConfig();
+    config.nic_egress_bps = GbpsToBytesPerSec(rng.Uniform(1, 10));
+    config.nic_ingress_bps = GbpsToBytesPerSec(rng.Uniform(1, 10));
+    nodes.push_back(topo.AddNode(site, config));
+  }
+  net::Network network(&sim, &topo);
+  std::vector<net::FlowId> ids;  // In start order, identical in both runs.
+
+  struct Spec {
+    net::NodeId src, dst;
+    double bytes;
+  };
+  // Bursts and cancels land on a 0.5 s grid, so timestamps are shared.
+  for (int burst = 0; burst < 30; ++burst) {
+    std::vector<Spec> specs(rng.UniformInt(1, 6));
+    for (Spec& spec : specs) {
+      spec.src = nodes[rng.UniformInt(0, nodes.size() - 1)];
+      spec.dst = nodes[rng.UniformInt(0, nodes.size() - 1)];
+      if (spec.dst == spec.src) spec.dst = nodes[(spec.src + 1) % nodes.size()];
+      spec.bytes = rng.Uniform(1 * kMB, 400 * kMB);
+    }
+    sim.ScheduleAt(0.5 * rng.UniformInt(0, 40), [&, specs] {
+      for (const Spec& spec : specs) {
+        const int index = static_cast<int>(ids.size());
+        auto id = network.StartFlow(spec.src, spec.dst, spec.bytes,
+                                    [&run, &sim, index] {
+                                      run.completions.emplace_back(index,
+                                                                   sim.Now());
+                                    });
+        ASSERT_TRUE(id.ok());
+        ids.push_back(*id);
+        if (solve_each_arrival) network.FlowRate(*id);
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const uint64_t pick = rng.UniformInt(0, 1 << 20);
+    sim.ScheduleAt(0.5 * rng.UniformInt(1, 40), [&, pick] {
+      if (ids.empty()) return;
+      const int victim = static_cast<int>(pick % ids.size());
+      if (network.CancelFlow(ids[victim])) run.cancelled.push_back(victim);
+    });
+  }
+  // Snapshots sit between grid points, where no arrival is pending, so
+  // reading rates there changes nothing.
+  for (int k = 0; k <= 120; ++k) {
+    sim.ScheduleAt(0.25 + 0.5 * k, [&] {
+      std::vector<double> rates;
+      for (const net::FlowId id : ids) rates.push_back(network.FlowRate(id));
+      run.rates.push_back(std::move(rates));
+    });
+  }
+  sim.Run();
+  run.events_fired = sim.events_fired();
+  for (const net::NodeId n : nodes) {
+    run.egress.push_back(network.NodeEgressBytes(n));
+    run.ingress.push_back(network.NodeIngressBytes(n));
+  }
+  run.solves = metrics.CounterValue("net.solves");
+  return run;
+}
+
+class ArrivalBatchingTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ArrivalBatchingTest, BatchedArrivalsMatchSolvingEachArrival) {
+  const ArrivalWorkloadRun eager = RunArrivalWorkload(GetParam(), true);
+  const ArrivalWorkloadRun batched = RunArrivalWorkload(GetParam(), false);
+  // A rate is a function of its final component alone: exact.
+  EXPECT_EQ(batched.rates, eager.rates);
+  EXPECT_EQ(batched.cancelled, eager.cancelled);
+  EXPECT_EQ(batched.events_fired, eager.events_fired);
+  // A reschedule is skipped when a rate moves by at most 1e-9 B/s, so an
+  // intermediate solve's deadline can survive in the eager order: times
+  // and bytes agree to 1e-9 relative.
+  ASSERT_EQ(batched.completions.size(), eager.completions.size());
+  for (size_t i = 0; i < eager.completions.size(); ++i) {
+    EXPECT_EQ(batched.completions[i].first, eager.completions[i].first);
+    EXPECT_NEAR(batched.completions[i].second, eager.completions[i].second,
+                1e-9 * eager.completions[i].second);
+  }
+  for (size_t n = 0; n < eager.egress.size(); ++n) {
+    EXPECT_NEAR(batched.egress[n], eager.egress[n], 1e-9 * eager.egress[n]);
+    EXPECT_NEAR(batched.ingress[n], eager.ingress[n], 1e-9 * eager.ingress[n]);
+  }
+  EXPECT_FALSE(eager.completions.empty());
+  EXPECT_FALSE(eager.cancelled.empty());
+  // The batching really happened.
+  EXPECT_LT(batched.solves, eager.solves);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArrivalBatchingTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13));
+
 // --- Simulator ordering under random churn ---
 
 class SimulatorChurnTest : public ::testing::TestWithParam<uint64_t> {};

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace hivesim::sim {
 namespace {
@@ -354,6 +356,147 @@ TEST(SimulatorTest, RunUntilLeavesFutureCohortIntact) {
   EXPECT_EQ(sim.Now(), 1.0);
   sim.RunUntil(2.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// --- End-of-timestamp hooks ---
+
+// Records the clock and the fired-event count at each call, then runs an
+// optional action (which may schedule events or re-request the hook).
+struct RecordingHook : EndOfTimestampHook {
+  explicit RecordingHook(Simulator* sim) : sim(sim) {}
+  void OnEndOfTimestamp() override {
+    calls.push_back(sim->Now());
+    fired_at_call.push_back(sim->events_fired());
+    if (action) action();
+  }
+  Simulator* sim;
+  std::vector<double> calls;
+  std::vector<uint64_t> fired_at_call;
+  std::function<void()> action;
+};
+
+TEST(EndOfTimestampHookTest, RunsOnceAfterEveryCohortOfItsTimestamp) {
+  Simulator sim;
+  RecordingHook hook(&sim);
+  std::vector<int> order;
+  sim.ScheduleAt(1.0, [&] {
+    order.push_back(0);
+    sim.DeferToEndOfTimestamp(&hook);
+    // A later cohort at the same timestamp: the hook waits for it.
+    sim.Schedule(0.0, [&] {
+      order.push_back(2);
+      sim.Schedule(0.0, [&order] { order.push_back(3); });
+    });
+  });
+  sim.ScheduleAt(1.0, [&order] { order.push_back(1); });
+  sim.ScheduleAt(2.0, [&] {
+    order.push_back(4);
+    EXPECT_EQ(hook.calls.size(), 1u);
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(hook.calls, (std::vector<double>{1.0}));
+  EXPECT_EQ(hook.fired_at_call, (std::vector<uint64_t>{4}));
+}
+
+TEST(EndOfTimestampHookTest, CohortsScheduledByTheHookFireBeforeTheClockMoves) {
+  Simulator sim;
+  RecordingHook hook(&sim);
+  int rounds = 0;
+  std::vector<double> fired_at;
+  // Each hook call schedules a same-timestamp event that re-requests the
+  // hook, three times over: all of it happens at t=1.
+  hook.action = [&] {
+    if (++rounds == 3) return;
+    sim.Schedule(0.0, [&] {
+      fired_at.push_back(sim.Now());
+      sim.DeferToEndOfTimestamp(&hook);
+    });
+  };
+  sim.ScheduleAt(1.0, [&] { sim.DeferToEndOfTimestamp(&hook); });
+  sim.ScheduleAt(2.0, [&] { fired_at.push_back(sim.Now()); });
+  sim.Run();
+  EXPECT_EQ(hook.calls, (std::vector<double>{1.0, 1.0, 1.0}));
+  EXPECT_EQ(fired_at, (std::vector<double>{1.0, 1.0, 2.0}));
+  EXPECT_EQ(hook.fired_at_call, (std::vector<uint64_t>{1, 2, 3}));
+}
+
+TEST(EndOfTimestampHookTest, NeverCountedAsAnEvent) {
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  Simulator sim;
+  RecordingHook hook(&sim);
+  for (int i = 1; i <= 5; ++i) {
+    sim.ScheduleAt(i, [&] { sim.DeferToEndOfTimestamp(&hook); });
+  }
+  sim.Run();
+  EXPECT_EQ(hook.calls.size(), 5u);
+  EXPECT_EQ(sim.events_fired(), 5u);
+  EXPECT_EQ(metrics.CounterValue("sim.events_fired"), 5.0);
+  EXPECT_EQ(metrics.CounterValue("sim.events_scheduled"), 5.0);
+}
+
+TEST(EndOfTimestampHookTest, RunsBeforeRunAndRunUntilReturn) {
+  Simulator sim;
+  RecordingHook hook(&sim);
+  // Requested outside any event, with nothing queued.
+  sim.DeferToEndOfTimestamp(&hook);
+  sim.Run();
+  EXPECT_EQ(hook.calls, (std::vector<double>{0.0}));
+
+  // RunUntil runs it at the last event's time, before the clock moves on
+  // to the bound.
+  sim.ScheduleAt(1.5, [&] { sim.DeferToEndOfTimestamp(&hook); });
+  sim.ScheduleAt(9.0, [] {});
+  sim.RunUntil(4.0);
+  EXPECT_EQ(hook.calls, (std::vector<double>{0.0, 1.5}));
+  EXPECT_EQ(sim.Now(), 4.0);
+
+  // Requested between runs: it still runs at the old time.
+  sim.DeferToEndOfTimestamp(&hook);
+  sim.RunUntil(5.0);
+  EXPECT_EQ(hook.calls, (std::vector<double>{0.0, 1.5, 4.0}));
+  EXPECT_EQ(sim.Now(), 5.0);
+}
+
+TEST(EndOfTimestampHookTest, StepRunsItBeforeFiringALaterEvent) {
+  Simulator sim;
+  RecordingHook hook(&sim);
+  sim.ScheduleAt(1.0, [&] { sim.DeferToEndOfTimestamp(&hook); });
+  sim.ScheduleAt(2.0, [] {});
+  EXPECT_TRUE(sim.Step());
+  EXPECT_TRUE(hook.calls.empty());
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(hook.calls, (std::vector<double>{1.0}));
+  EXPECT_EQ(sim.Now(), 2.0);
+}
+
+TEST(EndOfTimestampHookTest, CancelledSameTimeEventDoesNotHoldItBack) {
+  Simulator sim;
+  RecordingHook hook(&sim);
+  sim.ScheduleAt(1.0, [&] {
+    const EventId doomed = sim.Schedule(0.0, [] { ADD_FAILURE(); });
+    sim.Cancel(doomed);
+    sim.DeferToEndOfTimestamp(&hook);
+  });
+  sim.ScheduleAt(3.0, [] {});
+  sim.Run();
+  EXPECT_EQ(hook.calls, (std::vector<double>{1.0}));
+}
+
+TEST(EndOfTimestampHookTest, WithdrawnHookIsNotCalled) {
+  Simulator sim;
+  RecordingHook kept(&sim);
+  RecordingHook withdrawn(&sim);
+  sim.ScheduleAt(1.0, [&] {
+    sim.DeferToEndOfTimestamp(&withdrawn);
+    sim.DeferToEndOfTimestamp(&kept);
+    sim.WithdrawEndOfTimestamp(&withdrawn);
+    sim.WithdrawEndOfTimestamp(&withdrawn);  // Not pending: a no-op.
+  });
+  sim.Run();
+  EXPECT_TRUE(withdrawn.calls.empty());
+  EXPECT_EQ(kept.calls, (std::vector<double>{1.0}));
 }
 
 }  // namespace
