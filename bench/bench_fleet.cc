@@ -43,7 +43,10 @@ struct FleetResult {
   uint64_t completions = 0;
   uint64_t heartbeats = 0;
   uint64_t events_fired = 0;
-  bench::NetWorkCounters work;  // Only filled by RunCountedFleet.
+  // Only filled by RunCountedFleet: the network's work counters and the
+  // queue entries that took the 4-ary heap (`sim.events_heaped`).
+  bench::NetWorkCounters work;
+  double events_heaped = 0;
 };
 
 FleetResult RunFleet(int peers, uint64_t seed) {
@@ -150,6 +153,7 @@ FleetResult RunCountedFleet() {
   bench::PrivateMetrics metrics;
   FleetResult result = RunFleet(1000, 29);
   result.work = metrics.net_work();
+  result.events_heaped = metrics.counter("sim.events_heaped");
   return result;
 }
 
@@ -159,7 +163,7 @@ FleetResult CheckFleetDeterminism() {
   const FleetResult b = RunCountedFleet();
   if (a.total_bytes != b.total_bytes || a.completions != b.completions ||
       a.heartbeats != b.heartbeats || a.events_fired != b.events_fired ||
-      a.work != b.work) {
+      a.work != b.work || a.events_heaped != b.events_heaped) {
     std::fprintf(stderr,
                  "FLEET_DETERMINISM FAILED: bytes %.17g vs %.17g, "
                  "completions %llu vs %llu, heartbeats %llu vs %llu, "
@@ -175,11 +179,11 @@ FleetResult CheckFleetDeterminism() {
   }
   std::printf("FLEET_DETERMINISM OK (%llu completions, %llu heartbeats, "
               "%llu events; %.0f solves, %.0f at a repeated timestamp, "
-              "%.0f flow settles)\n",
+              "%.0f flow settles, %.0f events heaped)\n",
               (unsigned long long)a.completions,
               (unsigned long long)a.heartbeats,
               (unsigned long long)a.events_fired, a.work.solves,
-              a.work.solves_same_ts, a.work.flows_settled);
+              a.work.solves_same_ts, a.work.flows_settled, a.events_heaped);
   return a;
 }
 
@@ -195,5 +199,6 @@ int main(int argc, char** argv) {
   perf.AddCheck("fleet_events_fired",
                 static_cast<double>(fleet.events_fired));
   fleet.work.AddChecks("fleet", perf);
+  perf.AddCheck("fleet_events_heaped", fleet.events_heaped);
   return perf.RunAndReport(&argc, argv);
 }

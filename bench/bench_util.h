@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table_writer.h"
@@ -138,6 +139,10 @@ class PrivateMetrics {
   PrivateMetrics& operator=(const PrivateMetrics&) = delete;
 
   NetWorkCounters net_work() const;
+  /// Any counter of the scope's registry (0 when never bumped).
+  double counter(std::string_view name) const {
+    return metrics_.CounterValue(name);
+  }
 
  private:
   telemetry::MetricsRegistry metrics_;

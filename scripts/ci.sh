@@ -151,9 +151,12 @@ echo "=== perf smoke: BM_Fleet/1000 bounded sanity run ==="
 cmake --build --preset default -j "$(nproc)" --target bench_fleet
 # One bounded pass of the smallest fleet world: exercises the SoA solver
 # slabs and cohort dispatch end to end (the binary's determinism
-# self-check runs first and exits non-zero on divergence).
+# self-check runs first and exits non-zero on divergence). The
+# google-benchmark release used here reads --benchmark_min_time as plain
+# seconds and ignores suffixed values ("1x", "0.1s") with a warning, so
+# the stages below pass bare numbers; 0 runs a single iteration.
 ./build/bench/bench_fleet --benchmark_filter='BM_Fleet/1000$' \
-  --benchmark_min_time=1x > /dev/null
+  --benchmark_min_time=0 > /dev/null
 
 echo "=== perf gate: benches --bench-json vs bench/baselines ==="
 cmake --build --preset default -j "$(nproc)" \
@@ -161,18 +164,18 @@ cmake --build --preset default -j "$(nproc)" \
   bench_fig3_tbs_throughput bench_fleet hivesim
 perfdir="$tmpdir/perf"
 mkdir -p "$perfdir"
-./build/bench/bench_kernel_net --benchmark_min_time=0.1s \
+./build/bench/bench_kernel_net --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_kernel_net.json" > /dev/null
-./build/bench/bench_kernel_sim --benchmark_min_time=0.1s \
+./build/bench/bench_kernel_sim --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_kernel_sim.json" > /dev/null
-./build/bench/bench_sec7_chaos --benchmark_min_time=0.1s \
+./build/bench/bench_sec7_chaos --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_chaos.json" > /dev/null
-./build/bench/bench_fig3_tbs_throughput --benchmark_min_time=0.1s \
+./build/bench/bench_fig3_tbs_throughput --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_fig3.json" > /dev/null
 # All three fleet sizes are gated: with lazy flow settlement the
 # 100k-peer world runs one iteration in well under a second.
 ./build/bench/bench_fleet --benchmark_filter='BM_Fleet/(1000|10000|100000)$' \
-  --benchmark_min_time=0.1s \
+  --benchmark_min_time=0.1 \
   --bench-json="$perfdir/BENCH_fleet.json" > /dev/null
 if [[ "${HIVESIM_UPDATE_PERF_BASELINE:-0}" == "1" ]]; then
   ./build/tools/hivesim perfgate --current-dir="$perfdir" \

@@ -12,7 +12,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
   if [ -f "$b" ] && [ -x "$b" ]; then
     echo "### $(basename "$b")"
-    "$b" --benchmark_min_time=1x
+    "$b" --benchmark_min_time=0
   fi
 done 2>&1 | tee bench_output.txt
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/strings.h"
 
@@ -41,6 +42,7 @@ Network::FlowSlot Network::AllocFlowSlot() {
   }
   const FlowSlot slot = static_cast<FlowSlot>(flow_slab_.size());
   flow_slab_.emplace_back();
+  flow_generation_.push_back(0);
   flow_mark_.push_back(0);
   flow_comp_pos_.push_back(0);
   return slot;
@@ -52,6 +54,7 @@ void Network::FreeFlowSlot(FlowSlot slot) {
   flow.on_complete = nullptr;
   flow.has_completion_event = false;
   flow.num_keys = 0;
+  ++flow_generation_[slot];
   free_flow_slots_.push_back(slot);
   --live_flows_;
 }
@@ -576,9 +579,14 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
     }
     if (new_rate > kEpsilonRate) {
       const double eta = flow.remaining_bytes / new_rate;
-      const FlowId fid = flow.id;
-      flow.completion_event =
-          sim_->Schedule(eta, [this, fs, fid] { OnFlowDeadline(fs, fid); });
+      const uint32_t generation = flow_generation_[fs];
+      auto on_deadline = [this, fs, generation] {
+        OnFlowDeadline(fs, generation);
+      };
+      // Stored inline by std::function: no allocation per deadline.
+      static_assert(sizeof(on_deadline) <= 16 &&
+                    std::is_trivially_copyable_v<decltype(on_deadline)>);
+      flow.completion_event = sim_->Schedule(eta, on_deadline);
       flow.has_completion_event = true;
     }
   }
@@ -605,8 +613,8 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
   }
 }
 
-void Network::OnFlowDeadline(FlowSlot slot, FlowId id) {
-  if (slot >= flow_slab_.size() || flow_slab_[slot].id != id) return;
+void Network::OnFlowDeadline(FlowSlot slot, uint32_t generation) {
+  if (flow_generation_[slot] != generation) return;
   Flow& flow = flow_slab_[slot];
   flow.has_completion_event = false;
   Progress();

@@ -268,9 +268,10 @@ class Network : private sim::EndOfTimestampHook {
   /// component are untouched, and completion events inside it are only
   /// rescheduled when the flow's rate moved by more than epsilon.
   void SolveComponent(const ResSlot* seeds, int num_seeds);
-  /// Fires when the flow occupying `slot` (verified against `id`) is
-  /// expected to finish.
-  void OnFlowDeadline(FlowSlot slot, FlowId id);
+  /// Fires when the flow occupying `slot` is expected to finish; a no-op
+  /// once the slot's generation has moved past `generation` (the flow is
+  /// gone and the slot may hold another).
+  void OnFlowDeadline(FlowSlot slot, uint32_t generation);
   void FinishFlow(FlowSlot slot);
   /// Delivers a latency-only flow: meters its bytes and fires the callback.
   void FinishLatencyFlow(FlowId id);
@@ -298,6 +299,10 @@ class Network : private sim::EndOfTimestampHook {
   // creation (key -> slot). Hot paths never hash.
   std::vector<Flow> flow_slab_;
   std::vector<FlowSlot> free_flow_slots_;
+  // Per-slot occupancy generation, bumped when a slot is freed. A
+  // deadline event carries its flow's (slot, generation) — 8 bytes
+  // beside `this`, so the closure fits std::function's inline buffer.
+  std::vector<uint32_t> flow_generation_;
   size_t live_flows_ = 0;
   std::vector<Resource> res_slab_;
   std::vector<ResSlot> free_res_slots_;

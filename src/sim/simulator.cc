@@ -9,14 +9,30 @@
 namespace hivesim::sim {
 
 // Both sifts move a hole instead of swapping: one copy per level plus a
-// final store, versus three per level for std::swap.
+// final store, versus three per level for std::swap. The push sift is
+// forced inline: as a call it cost the push-heavy kernel benches a few
+// percent.
+__attribute__((always_inline)) inline void Simulator::EventHeap::PushHeap(
+    const QueueEntry& entry) {
+  size_t hole = heap_.size();
+  heap_.push_back(entry);
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kArity;
+    if (!Earlier(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
+}
+
 void Simulator::EventHeap::push(const QueueEntry& entry) {
-  if (entries_.empty() || entry.when > near_bound_) {
-    // Past the near horizon — or the heap is empty, in which case there
-    // is nothing to order against and *any* entry can stage. Either way
-    // this is an O(1) append; the entry pays its heap operations at the
-    // next refill, or never, if it gets cancelled first. Bulk loads
-    // (schedule N, then run) therefore never build a heap at all.
+  if (NearEmpty() || entry.when > near_bound_) {
+    // Past the near horizon — or both near tiers are drained, in which
+    // case there is nothing to order against and *any* entry can stage.
+    // Either way this is an O(1) append; the entry pays its heap
+    // operations at the next refill, or never, if it gets cancelled
+    // first. Bulk loads (schedule N, then run) therefore never build a
+    // heap at all.
     if (far_.empty()) {
       far_min_ = entry.when;
       far_max_ = entry.when;
@@ -27,22 +43,15 @@ void Simulator::EventHeap::push(const QueueEntry& entry) {
     far_.push_back(entry);
     return;
   }
-  size_t hole = entries_.size();
-  entries_.push_back(entry);
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / kArity;
-    if (!Earlier(entry, entries_[parent])) break;
-    entries_[hole] = entries_[parent];
-    hole = parent;
-  }
-  entries_[hole] = entry;
+  PushHeap(entry);
+  heaped_counter_.Add();
 }
 
 void Simulator::EventHeap::Refill() {
-  while (entries_.empty() && !far_.empty()) {
-    // Window sizing: aim for a heap of ~1/8 of staging (floor kWindow)
-    // assuming keys are spread evenly over the staged range — large
-    // enough that refills stay rare, small enough that the heap stays
+  while (NearEmpty() && !far_.empty()) {
+    // Window sizing: aim for ~1/8 of staging (floor kWindow) assuming
+    // keys are spread evenly over the staged range — large enough that
+    // refills stay rare, small enough that the heap stays
     // cache-resident. The staged min/max is maintained incrementally by
     // `push`, so a refill is a single partition pass. Everything here
     // is a pure function of current queue content, so identically
@@ -58,10 +67,13 @@ void Simulator::EventHeap::Refill() {
                               static_cast<double>(far_.size()));
       if (bound < far_min_) bound = far_min_;
     }
-    // Partition in place: migrate `when <= bound` into the heap (minus
-    // entries whose slot was cancelled while staged — they vanish here,
-    // never costing a sift), keep the rest staged, and recompute the
-    // kept slice's min/max in the same pass.
+    // Partition in place: migrate `when <= bound` into the near tiers
+    // (minus entries whose slot was cancelled while staged — they vanish
+    // here, never costing a sift), keep the rest staged, and recompute
+    // the kept slice's min/max in the same pass. A migrating entry
+    // either extends the run or is sifted into the heap.
+    run_.clear();
+    size_t heaped = 0;
     size_t keep = 0;
     double keep_min = 0.0;
     double keep_max = 0.0;
@@ -79,28 +91,42 @@ void Simulator::EventHeap::Refill() {
         continue;
       }
       if ((*slots_)[e.slot].generation != e.generation) continue;
-      size_t hole = entries_.size();
-      entries_.push_back(e);
-      while (hole > 0) {
-        const size_t parent = (hole - 1) / kArity;
-        if (!Earlier(e, entries_[parent])) break;
-        entries_[hole] = entries_[parent];
-        hole = parent;
+      // `e` extends the run when it continues the run's last timestamp,
+      // or opens a later one that the next staged entry shares (a
+      // cohort). A stray timer has no same-time successor and takes the
+      // heap, so timers interleaved with a cohort never cut its run
+      // short, and randomly timed entries leave the run empty.
+      const bool opens_cohort =
+          i + 1 < far_.size() && far_[i + 1].when == e.when;
+      if (run_.empty() ? opens_cohort
+                       : !Earlier(e, run_.back()) &&
+                             (e.when == run_.back().when || opens_cohort)) {
+        run_.push_back(e);
+      } else {
+        PushHeap(e);
+        ++heaped;
       }
-      entries_[hole] = e;
     }
+    run_next_ = run_.data();
+    run_end_ = run_.data() + run_.size();
     far_.resize(keep);
     far_min_ = keep_min;
     far_max_ = keep_max;
     near_bound_ = bound;
+    if (heaped > 0) heaped_counter_.Add(static_cast<double>(heaped));
   }
 }
 
-void Simulator::EventHeap::pop() {
-  const QueueEntry displaced = entries_.back();
-  entries_.pop_back();
-  if (entries_.empty()) return;
-  const size_t size = entries_.size();
+const Simulator::QueueEntry* Simulator::EventHeap::PeekAfterRefill() {
+  Refill();
+  return NearEmpty() ? nullptr : Peek();
+}
+
+void Simulator::EventHeap::PopHeap() {
+  const QueueEntry displaced = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  const size_t size = heap_.size();
   size_t hole = 0;
   while (true) {
     const size_t first_child = hole * kArity + 1;
@@ -108,13 +134,13 @@ void Simulator::EventHeap::pop() {
     size_t best = first_child;
     const size_t end = std::min(first_child + kArity, size);
     for (size_t child = first_child + 1; child < end; ++child) {
-      if (Earlier(entries_[child], entries_[best])) best = child;
+      if (Earlier(heap_[child], heap_[best])) best = child;
     }
-    if (!Earlier(entries_[best], displaced)) break;
-    entries_[hole] = entries_[best];
+    if (!Earlier(heap_[best], displaced)) break;
+    heap_[hole] = heap_[best];
     hole = best;
   }
-  entries_[hole] = displaced;
+  heap_[hole] = displaced;
 }
 
 Simulator::Simulator() {
@@ -176,8 +202,8 @@ bool Simulator::Cancel(EventId id) {
 }
 
 bool Simulator::PopNextLive(QueueEntry* entry) {
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.top();
+  while (const QueueEntry* next = queue_.Peek()) {
+    const QueueEntry top = *next;
     // The slot index is effectively random, so the generation check
     // below is a dependent cache miss into the multi-megabyte slot pool
     // on fleet-sized runs. Issue the fetch now and let it overlap the
@@ -225,7 +251,8 @@ size_t Simulator::FireCohort(double bound, bool bounded) {
   // Singleton fast path: nothing else queued at this timestamp (the
   // common case under randomized timers), so fire inline and skip the
   // cohort buffer entirely.
-  if (queue_.empty() || queue_.top_when() != when) {
+  const QueueEntry* next = queue_.Peek();
+  if (next == nullptr || next->when != when) {
     --live_events_;
     ++events_fired_;
     fired_counter_.Add();
@@ -240,12 +267,12 @@ size_t Simulator::FireCohort(double bound, bool bounded) {
   std::vector<QueueEntry> cohort = std::move(cohort_scratch_);
   cohort.clear();
   cohort.push_back(entry);
-  while (!queue_.empty() && queue_.top_when() == when) {
-    const QueueEntry next = queue_.top();
-    __builtin_prefetch(&slots_[next.slot]);  // Overlap with the sift.
+  while ((next = queue_.Peek()) != nullptr && next->when == when) {
+    const QueueEntry member = *next;
+    __builtin_prefetch(&slots_[member.slot]);  // Overlap with the sift.
     queue_.pop();
-    if (slots_[next.slot].generation == next.generation) {
-      cohort.push_back(next);
+    if (slots_[member.slot].generation == member.generation) {
+      cohort.push_back(member);
     }
   }
 
@@ -285,10 +312,9 @@ void Simulator::EndTimestamp() {
   while (!end_hooks_.empty()) {
     // A live event still due now fires first; the loop that fired it
     // comes back here afterwards.
-    while (!queue_.empty()) {
-      const QueueEntry& top = queue_.top();
-      if (top.when > now_) break;
-      if (slots_[top.slot].generation == top.generation) return;
+    while (const QueueEntry* top = queue_.Peek()) {
+      if (top->when > now_) break;
+      if (slots_[top->slot].generation == top->generation) return;
       queue_.pop();
     }
     EndOfTimestampHook* hook = end_hooks_.front();

@@ -126,29 +126,41 @@ class Simulator {
     uint32_t generation;
   };
 
-  /// Two-tier event queue: a small 4-ary min-heap holding the *near
-  /// horizon* (every entry with `when <= near_bound_`) plus an unsorted
-  /// staging vector holding everything farther out (`when >
-  /// near_bound_`, strictly). Scheduling past the horizon — or into an
-  /// empty heap, where there is nothing to order against — is an O(1)
-  /// append: no sift, no heap growth, and a bulk load (schedule N, then
-  /// run) stages everything. The heap the pop path sifts through stays
-  /// window-sized instead of fleet-sized. When it drains, the next
-  /// `top()` lazily runs `Refill`: one scan of the staging vector picks
-  /// the next window bound from the observed key range (a pure function of queue
-  /// content, so replays see identical behavior), and migrates the
-  /// window into the heap — dropping entries whose slot generation went
-  /// stale while they staged, so mass-cancelled events never pay a heap
-  /// operation at all.
+  /// Three-tier event queue. Two *near* tiers hold every entry with
+  /// `when <= near_bound_`: a small 4-ary min-heap and a sorted run (a
+  /// vector strictly increasing in (when, seq), consumed from the front
+  /// by an index). An unsorted staging vector holds everything farther
+  /// out (`when > near_bound_`, strictly). Scheduling past the horizon —
+  /// or while both near tiers are drained, when there is nothing to
+  /// order against — is an O(1) append: no sift, no heap growth, and a
+  /// bulk load (schedule N, then run) stages everything. When the near
+  /// tiers drain, the next `Peek()` lazily runs `Refill`: one scan of the
+  /// staging vector picks the next window bound from the observed key
+  /// range (a pure function of queue content, so replays see identical
+  /// behavior) and migrates the window, dropping entries whose slot
+  /// generation went stale while they staged, so mass-cancelled events
+  /// never pay a heap operation at all.
   ///
-  /// Pop order is untouched by the split: whenever the heap is
+  /// The migration walks staging in its own order, which is seq order
+  /// (staging only appends, and the partition is stable). A live entry
+  /// joins the run when it continues the run's last timestamp, or opens
+  /// a later one that the next staged entry shares; every other entry
+  /// takes the heap. A cohort scheduled in bulk — thousands of
+  /// same-time timers — therefore lands in the run and pops with one
+  /// index increment instead of a sift-down through a cohort-sized
+  /// heap, while stray timers interleaved with it, and randomly timed
+  /// entries generally, go to the heap and leave the run alone. The
+  /// window is deliberately not sorted: a sort of every window costs as
+  /// much as the heap pops it would save.
+  ///
+  /// Pop order is untouched by the tiers. Whenever a near tier is
   /// non-empty (the only state in which the minimum is read), every
-  /// staged entry is strictly later than `near_bound_` and every heap
-  /// entry is at or before it, so the global (when, seq) minimum always
-  /// sits at the heap top, and same-`when` entries can never straddle
-  /// the two tiers — a refill migrates a `when` either entirely or not
-  /// at all. Any conforming queue pops the exact same sequence — replay
-  /// order and goldens cannot change.
+  /// staged entry is strictly later than `near_bound_` and every near
+  /// entry is at or before it, and the minimum is the smaller (when,
+  /// seq) of the run front and the heap top. A refill migrates a `when`
+  /// either entirely or not at all. (when, seq) is a strict total order,
+  /// so any conforming queue pops the exact same sequence — replay order
+  /// and goldens cannot change.
   ///
   /// The heap itself is 4-ary instead of the binary layout
   /// std::priority_queue uses: half the tree height, all four children
@@ -159,30 +171,30 @@ class Simulator {
     /// Wires up the slot pool so stale staged entries can be dropped at
     /// migration time (vector address is stable even as it reallocates).
     void BindSlots(const std::vector<Slot>* slots) { slots_ = slots; }
-    /// Non-const (like `top`): staging may hold only stale entries, and
-    /// deciding emptiness means refilling until one live entry reaches
-    /// the heap or both tiers drain. After a false return the minimum
-    /// is at the heap top.
-    bool empty() {
-      if (entries_.empty()) Refill();
-      return entries_.empty();
-    }
-    /// Valid whenever `empty()` just returned false. Non-const: the
-    /// refill is lazy (pushes into an empty heap stage unsorted), so
-    /// peeking the minimum may first migrate the next window into the
-    /// heap.
-    const QueueEntry& top() {
-      if (entries_.empty()) Refill();
-      return entries_.front();
-    }
-    /// Key of the minimum entry; callers peek this to detect
-    /// same-timestamp cohorts without copying the full entry.
-    double top_when() {
-      if (entries_.empty()) Refill();
-      return entries_.front().when;
+    /// The minimum entry, or null when the queue is empty. Non-const:
+    /// the refill is lazy (pushes into drained near tiers stage
+    /// unsorted, and staging may hold only stale entries), so peeking
+    /// may first migrate the next window. Valid until the next push or
+    /// pop.
+    const QueueEntry* Peek() {
+      if (run_next_ == run_end_) {
+        min_in_run_ = false;
+        if (!heap_.empty()) return &heap_.front();
+        return PeekAfterRefill();
+      }
+      min_in_run_ = heap_.empty() || Earlier(*run_next_, heap_.front());
+      return min_in_run_ ? run_next_ : &heap_.front();
     }
     void push(const QueueEntry& entry);
-    void pop();
+    /// Removes the entry the last `Peek` returned; no push may come
+    /// between the two.
+    void pop() {
+      if (min_in_run_) {
+        ++run_next_;
+      } else {
+        PopHeap();
+      }
+    }
 
    private:
     static constexpr size_t kArity = 4;
@@ -190,20 +202,37 @@ class Simulator {
       if (a.when != b.when) return a.when < b.when;
       return a.seq < b.seq;
     }
-    /// Moves the next window of staged entries into the (empty) near
-    /// heap; loops until the heap is non-empty or staging is exhausted
-    /// (a window can evaporate entirely if every member went stale).
+    bool NearEmpty() const {
+      return heap_.empty() && run_next_ == run_end_;
+    }
+    /// Sifts `entry` into the 4-ary heap.
+    void PushHeap(const QueueEntry& entry);
+    /// Removes the heap top.
+    void PopHeap();
+    /// Moves the next window of staged entries into the (drained) near
+    /// tiers; loops until a near tier is non-empty or staging is
+    /// exhausted (a window can evaporate entirely if every member went
+    /// stale).
     void Refill();
+    /// `Peek` with both near tiers drained: refills, then peeks.
+    const QueueEntry* PeekAfterRefill();
 
-    std::vector<QueueEntry> entries_;
+    std::vector<QueueEntry> heap_;
+    // The sorted run; `[run_next_, run_end_)` is still queued. Only
+    // `Refill` appends, so the pointers stay valid between refills.
+    std::vector<QueueEntry> run_;
+    const QueueEntry* run_next_ = nullptr;
+    const QueueEntry* run_end_ = nullptr;
+    bool min_in_run_ = false;  // Where the last `Peek` found the minimum.
     std::vector<QueueEntry> far_;  // Unsorted staging.
-    double near_bound_ = 0.0;      // Meaningless while both tiers empty.
+    double near_bound_ = 0.0;      // Meaningless while all tiers empty.
     // Staged key range, maintained incrementally by `push` and
     // recomputed during the `Refill` partition pass; meaningless while
     // `far_` is empty. Lets a refill pick its window in a single pass.
     double far_min_ = 0.0;
     double far_max_ = 0.0;
     const std::vector<Slot>* slots_ = nullptr;
+    telemetry::CounterHandle heaped_counter_{"sim.events_heaped"};
   };
 
   /// Takes a pool slot, stores `cb`, and returns the packed id.
@@ -211,11 +240,11 @@ class Simulator {
   /// Invalidates a slot (bumps generation) and returns it to the free
   /// list; the caller has already moved the callback out if it needs it.
   void ReleaseSlot(uint32_t slot);
-  /// Pops heap entries until one still matches its slot's generation.
-  /// Returns false when the heap is exhausted.
+  /// Pops queue entries until one still matches its slot's generation.
+  /// Returns false when the queue is exhausted.
   bool PopNextLive(QueueEntry* entry);
   /// Pops the entire cohort of events sharing the next due timestamp in
-  /// one heap drain (seq order preserved — the heap pops the strict
+  /// one queue drain (seq order preserved — the queue pops the strict
   /// (when, seq) total order) and fires them back-to-back: one clock
   /// update and one dispatch loop per timestamp instead of per event.
   /// Each member's generation is re-checked right before its callback

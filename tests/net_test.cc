@@ -478,6 +478,40 @@ TEST_F(NetworkTest, SameTimestampArrivalsShareOneSolve) {
   EXPECT_EQ(metrics.HistogramCount("net.component_flows"), 5u);
 }
 
+// A flow slot freed and taken again at one timestamp: the new flow must
+// run on its own deadline, and the old flow's deadline (cancelled or
+// fired) must never complete it. Freed slots are reused last-in
+// first-out, so each restart below lands in the slot just freed.
+TEST_F(NetworkTest, RecycledFlowSlotKeepsItsOwnDeadline) {
+  BuildTwoSites();
+  int a_done = 0;
+  std::vector<double> b_done, c_done;
+  // 125 MB over 10 Gb/s: 0.1 s alone.
+  auto a = network_.StartFlow(n0_, n1_, 125 * kMB, [&] { ++a_done; });
+  ASSERT_TRUE(a.ok());
+  sim_.Schedule(0.05, [&] {
+    ASSERT_TRUE(network_.CancelFlow(*a));  // A's deadline was at 0.1.
+    auto b = network_.StartFlow(n0_, n1_, 125 * kMB, [&] {
+      b_done.push_back(sim_.Now());
+      // Finishing frees B's slot; C takes it at the same instant.
+      auto c = network_.StartFlow(n0_, n1_, 125 * kMB,
+                                  [&] { c_done.push_back(sim_.Now()); });
+      ASSERT_TRUE(c.ok());
+    });
+    ASSERT_TRUE(b.ok());
+  });
+  sim_.Run();
+  EXPECT_EQ(a_done, 0);
+  ASSERT_EQ(b_done.size(), 1u);
+  EXPECT_NEAR(b_done[0], 0.15, 1e-9);
+  ASSERT_EQ(c_done.size(), 1u);
+  EXPECT_NEAR(c_done[0], 0.25, 1e-9);
+  // The cancel tick plus one deadline each for B and C: A's cancelled
+  // deadline never fires.
+  EXPECT_EQ(sim_.events_fired(), 3u);
+  EXPECT_EQ(network_.active_flows(), 0u);
+}
+
 // --- Batched arrivals against the one-solve-per-arrival order ---
 //
 // Each case runs twice: batched, and with a `FlowRate` read after every

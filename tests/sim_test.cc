@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
@@ -497,6 +502,207 @@ TEST(EndOfTimestampHookTest, WithdrawnHookIsNotCalled) {
   sim.Run();
   EXPECT_TRUE(withdrawn.calls.empty());
   EXPECT_EQ(kept.calls, (std::vector<double>{1.0}));
+}
+
+// --- Queue-order oracle ---
+
+// Mirrors every event it schedules into a reference set ordered by
+// (when, seq) and checks each firing against the set's minimum, so any
+// queue tier that pops out of the strict total order fails at the first
+// misplaced event. Firing events and the end-of-timestamp hook react at
+// random (same-time and future schedules, cancels, hook requests) while
+// a budget lasts.
+class OrderOracle : public EndOfTimestampHook {
+ public:
+  OrderOracle(Simulator* sim, uint64_t seed) : sim_(sim), rng_(seed) {}
+
+  void Add(double when) {
+    const double at = std::max(when, sim_->Now());
+    const uint64_t seq = next_seq_++;
+    const EventId id =
+        sim_->ScheduleAt(when, [this, at, seq] { Fire(at, seq); });
+    reference_.emplace(at, seq);
+    scheduled_.push_back({id, at, seq});
+  }
+
+  // Cancels a random event ever scheduled; the kernel and the reference
+  // must agree on whether it was still pending.
+  void CancelRandom() {
+    const Scheduled& s = scheduled_[Pick(scheduled_.size())];
+    const bool cancelled = sim_->Cancel(s.id);
+    EXPECT_EQ(reference_.erase({s.at, s.seq}), cancelled ? 1u : 0u);
+  }
+
+  void RequestHook() {
+    if (hook_pending_) return;
+    hook_pending_ = true;
+    sim_->DeferToEndOfTimestamp(this);
+  }
+
+  void OnEndOfTimestamp() override {
+    hook_pending_ = false;
+    ++hook_calls_;
+    EXPECT_TRUE(reference_.empty() ||
+                reference_.begin()->first > sim_->Now())
+        << "hook ran with an event due at " << sim_->Now();
+    if (budget_ > 0 && rng_.Bernoulli(0.3)) {
+      --budget_;
+      Add(sim_->Now());  // Fires before the clock moves.
+    }
+  }
+
+  // Every pending event must be later than `bound`.
+  void ExpectNothingDueBy(double bound) const {
+    EXPECT_TRUE(reference_.empty() || reference_.begin()->first > bound);
+  }
+
+  double NextWhen() const { return reference_.begin()->first; }
+  size_t pending() const { return reference_.size(); }
+  uint64_t fired() const { return fired_; }
+  uint64_t hook_calls() const { return hook_calls_; }
+  bool hook_pending() const { return hook_pending_; }
+  Rng& rng() { return rng_; }
+  /// Reactions left for firing events and the hook.
+  void set_budget(int budget) { budget_ = budget; }
+
+ private:
+  struct Scheduled {
+    EventId id;
+    double at;
+    uint64_t seq;
+  };
+
+  size_t Pick(size_t n) {
+    return static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(n) - 1));
+  }
+
+  void Fire(double at, uint64_t seq) {
+    ASSERT_FALSE(reference_.empty());
+    EXPECT_EQ(*reference_.begin(), std::make_pair(at, seq))
+        << "fired (" << at << ", " << seq << ") out of (when, seq) order";
+    EXPECT_EQ(sim_->Now(), at);
+    reference_.erase({at, seq});
+    ++fired_;
+    if (budget_ <= 0) return;
+    --budget_;
+    const double roll = rng_.Uniform();
+    if (roll < 0.15) {
+      Add(at);  // Same time: after everything already due now.
+    } else if (roll < 0.30) {
+      Add(at + rng_.Uniform(0.0, 2.0));
+    } else if (roll < 0.40) {
+      Add(std::floor(at) + 1.0);  // Joins the next whole-second cohort.
+    } else if (roll < 0.55) {
+      CancelRandom();  // May hit a later member of this very cohort.
+    } else if (roll < 0.60) {
+      RequestHook();
+    }
+  }
+
+  Simulator* sim_;
+  Rng rng_;
+  uint64_t next_seq_ = 0;
+  std::set<std::pair<double, uint64_t>> reference_;
+  std::vector<Scheduled> scheduled_;
+  int budget_ = 0;
+  uint64_t fired_ = 0;
+  uint64_t hook_calls_ = 0;
+  bool hook_pending_ = false;
+};
+
+// Bulk whole-second cohorts (the fleet heartbeat shape) interleaved with
+// random-time and same-time pushes, cancels landing in every tier, and a
+// loop that alternates Step, RunUntil (bounds between and exactly on
+// cohorts, so due-checks re-push the next entry) and fresh schedules.
+TEST(QueueOrderOracleTest, FireOrderIsTheReferenceSort) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    OrderOracle oracle(&sim, seed);
+    Rng& rng = oracle.rng();
+    constexpr int kCohorts = 4;
+    // Odd seeds load pure cohorts, whose windows fill the run alone.
+    // Every third seed loads small cohorts, latest first, so that one
+    // refill window holds them all out of timestamp order.
+    const double interleave = seed % 2 == 0 ? 0.05 : 0.0;
+    const bool reversed = seed % 3 == 0;
+    const int cohort_size = reversed ? 240 : 3000;
+    for (int k = 1; k <= kCohorts; ++k) {
+      const int c = reversed ? kCohorts + 1 - k : k;
+      for (int i = 0; i < cohort_size; ++i) {
+        oracle.Add(static_cast<double>(c));
+        if (rng.Bernoulli(interleave)) {
+          oracle.Add(rng.Uniform(0.0, kCohorts + 1.0));
+        }
+        if (rng.Bernoulli(interleave / 5)) {
+          oracle.Add(static_cast<double>(rng.UniformInt(1, kCohorts)));
+        }
+      }
+    }
+    for (int i = 0; i < 500; ++i) oracle.CancelRandom();  // Still staged.
+    oracle.set_budget(20000);
+    int loop_adds = 2000;
+    while (sim.pending() > 0 || oracle.hook_pending()) {
+      const double roll = rng.Uniform();
+      if (roll < 0.35) {
+        const uint64_t fired = sim.events_fired();
+        const bool stepped = sim.Step();
+        EXPECT_EQ(stepped, sim.events_fired() == fired + 1);
+        ASSERT_TRUE(stepped || sim.pending() == 0) << "queue lost events";
+      } else if (roll < 0.60) {
+        const double bound = sim.Now() + rng.Uniform(0.0, 0.3);
+        sim.RunUntil(bound);
+        oracle.ExpectNothingDueBy(bound);
+        EXPECT_EQ(sim.Now(), bound);
+      } else if (roll < 0.70 && oracle.pending() > 0) {
+        const double bound = oracle.NextWhen();  // Exactly on an event.
+        sim.RunUntil(bound);
+        oracle.ExpectNothingDueBy(bound);
+      } else if (roll < 0.85 && loop_adds-- > 0) {
+        oracle.Add(sim.Now() + rng.Uniform(0.0, 1.0));
+        oracle.Add(std::floor(sim.Now()) + 1.0);
+        oracle.CancelRandom();
+      } else if (roll < 0.90) {
+        oracle.RequestHook();
+      } else if (roll < 0.92) {
+        sim.Run();
+        ASSERT_EQ(sim.pending(), 0u) << "queue lost events";
+      }
+      ASSERT_EQ(sim.pending(), oracle.pending());
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_EQ(oracle.pending(), 0u);
+    EXPECT_EQ(sim.events_fired(), oracle.fired());
+    EXPECT_GT(oracle.hook_calls(), 0u);
+  }
+}
+
+// Counts `sim.events_heaped` for a world built by `schedule` and run to
+// the end.
+double EventsHeaped(const std::function<void(Simulator&)>& schedule) {
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  Simulator sim;
+  schedule(sim);
+  sim.Run();
+  EXPECT_EQ(sim.pending(), 0u);
+  return metrics.CounterValue("sim.events_heaped");
+}
+
+// Bulk-scheduled cohorts migrate in (when, seq) order, so they pop from
+// the sorted run without ever entering the heap; entries that arrive out
+// of order do enter it, and are counted.
+TEST(QueueOrderOracleTest, BulkCohortsBypassTheHeap) {
+  EXPECT_EQ(EventsHeaped([](Simulator& sim) {
+              for (int tick = 1; tick <= 4; ++tick) {
+                for (int i = 0; i < 5000; ++i) sim.ScheduleAt(tick, [] {});
+              }
+            }),
+            0.0);
+  EXPECT_GT(EventsHeaped([](Simulator& sim) {
+              for (int i = 5000; i > 0; --i) sim.ScheduleAt(i, [] {});
+            }),
+            0.0);
 }
 
 }  // namespace
