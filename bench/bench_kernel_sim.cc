@@ -41,30 +41,6 @@ void BM_ScheduleFire(benchmark::State& state) {
 BENCHMARK(BM_ScheduleFire)->Arg(1 << 12)->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 
-// Bulk-scheduled same-time cohorts (fleet-wide heartbeats): four cohorts
-// of `size` events at whole seconds, with one random-time timer per 16
-// members scheduled in between. The cohorts reach the queue in (when,
-// seq) order and pop from its sorted run; the timers take the heap.
-void BM_CohortFire(benchmark::State& state) {
-  const int size = static_cast<int>(state.range(0));
-  constexpr int kCohorts = 4;
-  int64_t fired = 0;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    Rng rng(17);
-    for (int cohort = 1; cohort <= kCohorts; ++cohort) {
-      for (int i = 0; i < size; ++i) {
-        sim.ScheduleAt(cohort, [] {});
-        if (i % 16 == 0) sim.Schedule(rng.Uniform(0.0, kCohorts + 1.0), [] {});
-      }
-    }
-    sim.Run();
-    fired += static_cast<int64_t>(sim.events_fired());
-  }
-  state.SetItemsProcessed(fired);
-}
-BENCHMARK(BM_CohortFire)->Arg(1 << 16)->Unit(benchmark::kMillisecond);
-
 // The network solver's historical pattern: every recompute cancels and
 // reschedules every in-flight completion event, so the kernel sees long
 // cancel/reschedule storms against a mostly-stable horizon.

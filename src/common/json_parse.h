@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 
 namespace hivesim {
 
@@ -55,9 +56,92 @@ class JsonValue {
   }
 };
 
-/// Parses one JSON document. The whole input must be consumed (trailing
-/// whitespace allowed); errors carry a character offset and a short
-/// description. Nesting deeper than 64 levels is rejected.
+/// A pull reader over the text of one JSON document: the library's one
+/// JSON grammar. `ParseJson` builds a `JsonValue` tree on top of it;
+/// streaming consumers (the trace analyzer's ingestion) walk the text
+/// with it directly and keep only the fields they need, building no
+/// tree.
+///
+/// The grammar is strict JSON (no comments, no trailing commas) with a
+/// lenient number token: an optional '-' then any run of
+/// `[0-9.eE+-]` that `strtod` consumes whole, converted to the double
+/// `strtod` gives (1e999 reads as inf). `\uXXXX` escapes decode
+/// as UTF-8 (surrogate pairs are not recombined). A value nested inside
+/// more than 64 containers is rejected. Errors are InvalidArgument and
+/// read "JSON parse error at offset N: ...".
+///
+/// Strings and object keys come back as `string_view`s into the text;
+/// only a string with escapes is decoded, into a scratch buffer that
+/// stays valid until the next call on the reader.
+///
+/// Reading a document:
+///   JsonReader reader(text);
+///   HIVESIM_RETURN_IF_ERROR(reader.BeginObject());
+///   for (std::string_view key;;) {
+///     bool more = false;
+///     HIVESIM_RETURN_IF_ERROR(reader.NextKey(&key, &more));
+///     if (!more) break;
+///     ... read or Skip() exactly one value ...
+///   }
+///   HIVESIM_RETURN_IF_ERROR(reader.Finish());
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The kind of the next value, which is left unread. Errors at end of
+  /// input and when the value would be nested too deep; any other
+  /// character reads as kNumber (ReadNumber then rejects it).
+  Status Peek(JsonValue::Kind* kind);
+
+  /// Byte offset of the next unread character (after Peek: the first
+  /// character of the next value).
+  size_t offset() const { return pos_; }
+
+  Status ReadNull();
+  Status ReadBool(bool* out);
+  Status ReadNumber(double* out);
+  Status ReadString(std::string_view* out);
+
+  /// Opens an object; NextKey then yields its keys in document order,
+  /// setting `*more` false (and closing the object) at its '}'. After
+  /// each key exactly one value must be read or skipped.
+  Status BeginObject();
+  Status NextKey(std::string_view* key, bool* more);
+
+  /// Opens an array; NextElement sets `*more` true before each element
+  /// and false (closing the array) at its ']'.
+  Status BeginArray();
+  Status NextElement(bool* more);
+
+  /// Skips the next value, checking the grammar of everything in it.
+  Status Skip();
+
+  /// Ends the document: only whitespace may follow the last value.
+  Status Finish();
+
+ private:
+  Status Error(std::string_view message) const;
+  void SkipWhitespace();
+  /// Depth check + whitespace + end-of-input check before any value.
+  Status Enter();
+  Status ExpectLiteral(std::string_view literal, std::string_view message);
+  /// Scans a number token; `out` may be null (validate only).
+  Status ScanNumber(double* out);
+  /// Scans a string at its opening quote; decodes into scratch_ only
+  /// when it has escapes and `out` is non-null.
+  Status ScanString(std::string_view* out);
+  Status ParseHex4(unsigned* out);
+  Status ReadKey(std::string_view* key);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  int depth_ = 0;       ///< Containers currently open.
+  bool fresh_ = false;  ///< Just after '{' or '['.
+  std::string scratch_;
+};
+
+/// Parses one JSON document into a tree with `JsonReader`. The whole
+/// input must be consumed (trailing whitespace allowed).
 Result<JsonValue> ParseJson(std::string_view text);
 
 /// Reads and parses `path`; IOError when unreadable, InvalidArgument

@@ -22,9 +22,8 @@ const std::vector<double>& StragglerBounds() {
   return bounds;
 }
 
-// Per-phase accumulation in canonical microseconds; converted to
-// seconds exactly once at the end so both analysis modes divide the
-// same doubles.
+// Per-phase accumulation in trace microseconds; converted to seconds
+// exactly once at the end.
 struct PhaseMicros {
   double calc = 0;
   double matchmake_wait = 0;
@@ -88,24 +87,39 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
   report.options = options;
   HIVESIM_ASSIGN_OR_RETURN(report.model, BuildRoundModel(dataset));
 
+  // Links are model.links indices, ordered by name where the binding
+  // link's tie-break and the report need it.
+  const RoundModel& model = report.model;
+  const size_t num_links = model.links.size();
+  const auto by_name = [&model](int a, int b) {
+    return model.links[static_cast<size_t>(a)] <
+           model.links[static_cast<size_t>(b)];
+  };
+
   PhaseMicros total_us;
-  std::map<std::string, LinkStat> links;
+  std::vector<LinkStat> links(num_links);
   std::map<int, PeerStat> peers;
-  std::map<int, std::string> peer_zone;
+  std::map<int, int> peer_zone;  // Peer -> model.zones index.
   MetricsRegistry straggler_metrics;
   straggler_metrics.DefineHistogram("round_comm_sec", StragglerBounds());
   straggler_metrics.DefineHistogram("critical_flow_sec", StragglerBounds());
 
-  for (const Round& round : report.model.rounds) {
+  std::vector<double> round_link_us(num_links, 0.0);
+  std::vector<int> round_links;  // Links with critical time this round.
+  for (const Round& round : model.rounds) {
     PhaseMicros round_us;
-    std::map<std::string, double> round_link_us;
     int last_flow = -1;
     for (const Segment& seg : round.critical) {
       round_us.Add(seg.phase, seg.dur_us());
       if (seg.phase == Phase::kFlow) {
         const FlowRef& flow = round.flows[static_cast<size_t>(seg.flow)];
-        round_link_us[flow.link] += seg.dur_us();
-        links[flow.link].critical_sec += seg.dur_us();  // us for now.
+        const size_t link = static_cast<size_t>(flow.link);
+        if (std::find(round_links.begin(), round_links.end(), flow.link) ==
+            round_links.end()) {
+          round_links.push_back(flow.link);
+        }
+        round_link_us[link] += seg.dur_us();
+        links[link].critical_sec += seg.dur_us();  // us for now.
         peers[flow.src].critical_sec += seg.dur_us();
         last_flow = seg.flow;
         straggler_metrics.Observe("critical_flow_sec",
@@ -113,15 +127,11 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
       }
     }
     for (const FlowRef& flow : round.flows) {
-      LinkStat& link = links[flow.link];
-      link.bytes += flow.bytes;
-      ++link.flows;
-      if (!flow.src_zone.empty()) {
-        peer_zone.emplace(flow.src, flow.src_zone);
-      }
-      if (!flow.dst_zone.empty()) {
-        peer_zone.emplace(flow.dst, flow.dst_zone);
-      }
+      const size_t link = static_cast<size_t>(flow.link);
+      links[link].bytes += flow.bytes;
+      ++links[link].flows;
+      if (flow.src_zone >= 0) peer_zone.emplace(flow.src, flow.src_zone);
+      if (flow.dst_zone >= 0) peer_zone.emplace(flow.dst, flow.dst_zone);
     }
 
     RoundSummary summary;
@@ -130,14 +140,23 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
     summary.start_sec = round.start_us / 1e6;
     summary.end_sec = round.end_us / 1e6;
     summary.phases = round_us.ToSeconds();
-    for (const auto& [link, us] : round_link_us) {
-      // Map iteration is name-sorted, so the strict > keeps the
-      // lexicographically smallest link on ties.
-      if (summary.binding_link.empty() ||
-          us > round_link_us[summary.binding_link]) {
-        summary.binding_link = link;
+    // In name order, the strict > keeps the lexicographically smallest
+    // link on ties.
+    std::sort(round_links.begin(), round_links.end(), by_name);
+    int binding = -1;
+    for (const int link : round_links) {
+      if (binding < 0 || round_link_us[static_cast<size_t>(link)] >
+                             round_link_us[static_cast<size_t>(binding)]) {
+        binding = link;
       }
     }
+    if (binding >= 0) {
+      summary.binding_link = model.links[static_cast<size_t>(binding)];
+    }
+    for (const int link : round_links) {
+      round_link_us[static_cast<size_t>(link)] = 0;
+    }
+    round_links.clear();
     if (last_flow >= 0) {
       summary.straggler_peer =
           round.flows[static_cast<size_t>(last_flow)].src;
@@ -161,27 +180,47 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
   }
   report.totals = total_us.ToSeconds();
 
-  // Per-peer timelines (peer/<n> lanes) for the straggler section.
-  for (const CanonEvent& e : dataset.events) {
+  // Per-peer timelines (peer/<n> lanes) for the straggler section; each
+  // lane and each name is read once.
+  std::vector<std::pair<bool, int>> lane_peer;
+  lane_peer.reserve(dataset.lanes.size());
+  for (const std::string& lane : dataset.lanes) {
     int peer = -1;
-    if (e.instant ||
-        std::sscanf(e.lane.c_str(), "peer/%d", &peer) != 1) {
-      continue;
-    }
+    const bool is_peer = std::sscanf(lane.c_str(), "peer/%d", &peer) == 1;
+    lane_peer.emplace_back(is_peer, peer);
+  }
+  enum class Timeline { kOther, kAccumulate, kAverage, kSync };
+  std::vector<Timeline> timeline;
+  timeline.reserve(dataset.names.size());
+  for (const std::string& name : dataset.names) {
+    timeline.push_back(name == "accumulate" ? Timeline::kAccumulate
+                       : name == "average"  ? Timeline::kAverage
+                       : name == "sync"     ? Timeline::kSync
+                                            : Timeline::kOther);
+  }
+  for (const CanonEvent& e : dataset.events) {
+    const auto [is_peer, peer] = lane_peer[static_cast<size_t>(e.lane)];
+    if (e.instant || !is_peer) continue;
     PeerStat& stat = peers[peer];
-    if (e.name == "accumulate") {
-      stat.accumulate_sec += e.dur_us;  // us for now.
-    } else if (e.name == "average") {
-      stat.average_sec += e.dur_us;
-    } else if (e.name == "sync") {
-      stat.sync_sec += e.dur_us;
+    switch (timeline[static_cast<size_t>(e.name)]) {  // us for now.
+      case Timeline::kAccumulate: stat.accumulate_sec += e.dur_us; break;
+      case Timeline::kAverage: stat.average_sec += e.dur_us; break;
+      case Timeline::kSync: stat.sync_sec += e.dur_us; break;
+      case Timeline::kOther: break;
     }
   }
 
-  for (auto& [link, stat] : links) {
-    stat.link = link;
+  // A link is reported once a round-assigned flow used it.
+  std::vector<int> used_links;
+  for (size_t i = 0; i < num_links; ++i) {
+    if (links[i].flows > 0) used_links.push_back(static_cast<int>(i));
+  }
+  std::sort(used_links.begin(), used_links.end(), by_name);
+  for (const int link : used_links) {
+    LinkStat stat = links[static_cast<size_t>(link)];
+    stat.link = model.links[static_cast<size_t>(link)];
     stat.critical_sec /= 1e6;
-    report.links.push_back(stat);
+    report.links.push_back(std::move(stat));
   }
   std::sort(report.links.begin(), report.links.end(),
             [](const LinkStat& a, const LinkStat& b) {
@@ -194,7 +233,9 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
   for (auto& [peer, stat] : peers) {
     stat.peer = peer;
     const auto zone = peer_zone.find(peer);
-    stat.zone = zone != peer_zone.end() ? zone->second : "?";
+    stat.zone = zone != peer_zone.end()
+                    ? model.zones[static_cast<size_t>(zone->second)]
+                    : "?";
     stat.critical_sec /= 1e6;
     stat.accumulate_sec /= 1e6;
     stat.average_sec /= 1e6;
@@ -220,13 +261,6 @@ Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
     report.headroom.push_back(std::move(estimate));
   }
   return report;
-}
-
-Result<AnalysisReport> AnalyzeRecorder(const TraceRecorder& recorder,
-                                       const AnalysisOptions& options) {
-  TraceDataset dataset;
-  HIVESIM_ASSIGN_OR_RETURN(dataset, DatasetFromRecorder(recorder));
-  return AnalyzeDataset(dataset, options);
 }
 
 Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
@@ -282,17 +316,6 @@ Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc) {
             counter("trainer.comm_sec"),
             counter("trainer.matchmake_wait_sec"));
   return Status::OK();
-}
-
-Result<AnalysisReport> RoundAnalyzer::Analyze() const {
-  if (Telemetry::Disabled()) {
-    return Status::FailedPrecondition(
-        "telemetry is disabled: nothing recorded to analyze");
-  }
-  Result<AnalysisReport> report =
-      AnalyzeRecorder(Telemetry::trace(), options_);
-  if (report.ok()) AttachMetrics(&report.value(), Telemetry::metrics());
-  return report;
 }
 
 std::string AnalysisReport::ToJson() const {

@@ -18,10 +18,10 @@ namespace hivesim::telemetry {
 /// resource — compute, a WAN link, stragglers, matchmaking — bounds
 /// training throughput, per round and in aggregate, plus what-if
 /// headroom bounds for speeding up the top links. Consumes the round
-/// model built by telemetry/round_model.h; runs in-process on a live
-/// `TraceRecorder` (see RoundAnalyzer) or post-hoc on a written Chrome
-/// trace via `hivesim analyze`. Same seed => byte-identical
-/// `ToJson()` output, in either mode.
+/// model built by telemetry/round_model.h from a written Chrome trace
+/// (`hivesim analyze`; a live recorder is analyzed through its
+/// `ToChromeJson()` text). Same seed => byte-identical `ToJson()`
+/// output.
 
 struct AnalysisOptions {
   /// Number of headroom entries (top links by critical-path time).
@@ -133,15 +133,12 @@ struct AnalysisReport {
   void PrintTable(std::ostream& os) const;
 };
 
-/// Core entry point: attribution over an already-canonicalized dataset.
+/// Core entry point: attribution over an ingested dataset.
 Result<AnalysisReport> AnalyzeDataset(const TraceDataset& dataset,
                                       const AnalysisOptions& options = {});
 
-/// In-process mode: analyze a live recorder's contents.
-Result<AnalysisReport> AnalyzeRecorder(const TraceRecorder& recorder,
-                                       const AnalysisOptions& options = {});
-
-/// Post-hoc mode: analyze the text of a written Chrome trace file.
+/// Analyzes the text of a Chrome trace file (`ToChromeJson` output):
+/// streams it into a dataset, then attributes it.
 Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
                                          const AnalysisOptions& options = {});
 
@@ -152,23 +149,6 @@ Result<AnalysisReport> AnalyzeChromeJson(std::string_view json_text,
 /// (the CLI's --metrics path); missing counters read as 0.
 void AttachMetrics(AnalysisReport* report, const MetricsRegistry& metrics);
 Status AttachMetricsJson(AnalysisReport* report, const JsonValue& doc);
-
-/// In-process convenience: analyzes the calling thread's telemetry
-/// sinks. Rides the existing one-branch enable switch — constructing it
-/// is free, and `Analyze` errors with FailedPrecondition while
-/// telemetry is disabled (nothing was recorded).
-class RoundAnalyzer {
- public:
-  explicit RoundAnalyzer(AnalysisOptions options = {})
-      : options_(options) {}
-
-  /// Analyzes `Telemetry::trace()` and reconciles against
-  /// `Telemetry::metrics()`.
-  Result<AnalysisReport> Analyze() const;
-
- private:
-  AnalysisOptions options_;
-};
 
 }  // namespace hivesim::telemetry
 

@@ -1,103 +1,324 @@
 #include "telemetry/round_model.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <functional>
+#include <unordered_map>
 #include <utility>
 
+#include "common/json_parse.h"
 #include "common/strings.h"
 
 namespace hivesim::telemetry {
 
-double CanonMicros(double value_us) {
-  // Must match ToChromeJson's "%.6f" + json_parse's strtod exactly: this
-  // round trip is what makes in-process analysis bit-identical to
-  // post-hoc analysis of the written trace.
-  const std::string text = StrFormat("%.6f", value_us);
-  return std::strtod(text.c_str(), nullptr);
+namespace {
+
+/// Interns strings into a name table: each distinct string gets the
+/// next index, in first-use order.
+class Interner {
+ public:
+  explicit Interner(std::vector<std::string>* table) : table_(table) {}
+
+  int Intern(std::string_view text) {
+    const auto it = index_.find(text);
+    if (it != index_.end()) return it->second;
+    const int id = static_cast<int>(table_->size());
+    table_->emplace_back(text);
+    index_.emplace(std::string(text), id);
+    return id;
+  }
+
+  void Clear() {
+    table_->clear();
+    index_.clear();
+  }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
+  std::vector<std::string>* table_;
+  std::unordered_map<std::string, int, Hash, std::equal_to<>> index_;
+};
+
+/// A double truncated to int, as static_cast<int> would, when it is in
+/// range; false otherwise (the cast would be undefined).
+bool TruncateToInt(double value, int* out) {
+  if (!(value > -2147483649.0 && value < 2147483648.0)) return false;
+  *out = static_cast<int>(value);
+  return true;
 }
 
-Result<TraceDataset> DatasetFromRecorder(const TraceRecorder& recorder) {
-  TraceDataset dataset;
-  dataset.lanes = recorder.lanes();
-  dataset.events.reserve(recorder.events().size());
-  for (const TraceRecorder::Event& e : recorder.events()) {
-    CanonEvent canon;
-    canon.instant = e.instant;
-    canon.ts_us = CanonMicros(e.ts_sec * 1e6);
-    canon.dur_us = e.instant ? 0.0 : CanonMicros(e.dur_sec * 1e6);
-    canon.lane = dataset.lanes[static_cast<size_t>(e.lane)];
-    canon.name = e.name;
-    if (!e.args_json.empty()) {
-      Result<JsonValue> args = ParseJson(e.args_json);
-      if (!args.ok()) {
-        return Status::InvalidArgument(
-            StrCat("event '", e.name, "' has malformed args: ",
-                   args.status().message()));
+/// The members of one traceEvents entry that ingestion reads. Each
+/// member holds the value of the last occurrence of its key, read the
+/// way JsonValue's NumberOr/StringOr would read it.
+struct EntryFields {
+  enum class Ph { kOther, kMetadata, kSpan, kInstant };
+
+  Ph ph = Ph::kOther;
+  double tid = -1;
+  std::string name;
+  bool has_ts = false;
+  double ts = 0;
+  double dur = 0;
+  // args.
+  bool has_arg_name = false;
+  std::string arg_name;
+  double epoch = -1;
+  double bytes = 0;
+  std::string src_zone;
+  std::string dst_zone;
+
+  void Reset() {
+    ph = Ph::kOther;
+    tid = -1;
+    name.clear();
+    has_ts = false;
+    ts = 0;
+    dur = 0;
+    ResetArgs();
+  }
+
+  void ResetArgs() {
+    has_arg_name = false;
+    arg_name.clear();
+    epoch = -1;
+    bytes = 0;
+    src_zone.clear();
+    dst_zone.clear();
+  }
+};
+
+/// Reads a number, or skips a value of any other kind and reports
+/// `fallback` (JsonValue::NumberOr).
+Status ReadNumberOr(JsonReader& reader, double fallback, double* out) {
+  JsonValue::Kind kind;
+  HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+  if (kind == JsonValue::Kind::kNumber) return reader.ReadNumber(out);
+  *out = fallback;
+  return reader.Skip();
+}
+
+/// Reads a string into `out`, or skips a value of any other kind and
+/// reports "" (JsonValue::StringOr("")). `is_string` may be null.
+Status ReadStringOr(JsonReader& reader, std::string* out,
+                    bool* is_string) {
+  JsonValue::Kind kind;
+  HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+  if (is_string != nullptr) *is_string = kind == JsonValue::Kind::kString;
+  if (kind != JsonValue::Kind::kString) {
+    out->clear();
+    return reader.Skip();
+  }
+  std::string_view text;
+  HIVESIM_RETURN_IF_ERROR(reader.ReadString(&text));
+  out->assign(text);
+  return Status::OK();
+}
+
+Status ReadArgs(JsonReader& reader, EntryFields* entry) {
+  entry->ResetArgs();  // A later "args" key replaces an earlier one.
+  JsonValue::Kind kind;
+  HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+  if (kind != JsonValue::Kind::kObject) return reader.Skip();
+  HIVESIM_RETURN_IF_ERROR(reader.BeginObject());
+  for (std::string_view key;;) {
+    bool more = false;
+    HIVESIM_RETURN_IF_ERROR(reader.NextKey(&key, &more));
+    if (!more) return Status::OK();
+    if (key == "name") {
+      HIVESIM_RETURN_IF_ERROR(
+          ReadStringOr(reader, &entry->arg_name, &entry->has_arg_name));
+    } else if (key == "epoch") {
+      HIVESIM_RETURN_IF_ERROR(ReadNumberOr(reader, -1, &entry->epoch));
+    } else if (key == "bytes") {
+      HIVESIM_RETURN_IF_ERROR(ReadNumberOr(reader, 0, &entry->bytes));
+    } else if (key == "src_zone") {
+      HIVESIM_RETURN_IF_ERROR(
+          ReadStringOr(reader, &entry->src_zone, nullptr));
+    } else if (key == "dst_zone") {
+      HIVESIM_RETURN_IF_ERROR(
+          ReadStringOr(reader, &entry->dst_zone, nullptr));
+    } else {
+      HIVESIM_RETURN_IF_ERROR(reader.Skip());
+    }
+  }
+}
+
+Status ReadEntry(JsonReader& reader, EntryFields* entry) {
+  entry->Reset();
+  HIVESIM_RETURN_IF_ERROR(reader.BeginObject());
+  for (std::string_view key;;) {
+    bool more = false;
+    HIVESIM_RETURN_IF_ERROR(reader.NextKey(&key, &more));
+    if (!more) return Status::OK();
+    if (key == "ph") {
+      JsonValue::Kind kind;
+      HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+      entry->ph = EntryFields::Ph::kOther;
+      if (kind != JsonValue::Kind::kString) {
+        HIVESIM_RETURN_IF_ERROR(reader.Skip());
+        continue;
       }
-      canon.args = std::move(args).value();
+      std::string_view ph;
+      HIVESIM_RETURN_IF_ERROR(reader.ReadString(&ph));
+      if (ph == "M") entry->ph = EntryFields::Ph::kMetadata;
+      if (ph == "X") entry->ph = EntryFields::Ph::kSpan;
+      if (ph == "i") entry->ph = EntryFields::Ph::kInstant;
+    } else if (key == "tid") {
+      HIVESIM_RETURN_IF_ERROR(ReadNumberOr(reader, -1, &entry->tid));
+    } else if (key == "name") {
+      HIVESIM_RETURN_IF_ERROR(ReadStringOr(reader, &entry->name, nullptr));
+    } else if (key == "ts") {
+      JsonValue::Kind kind;
+      HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+      entry->has_ts = kind == JsonValue::Kind::kNumber;
+      HIVESIM_RETURN_IF_ERROR(entry->has_ts ? reader.ReadNumber(&entry->ts)
+                                            : reader.Skip());
+    } else if (key == "dur") {
+      HIVESIM_RETURN_IF_ERROR(ReadNumberOr(reader, 0, &entry->dur));
+    } else if (key == "args") {
+      HIVESIM_RETURN_IF_ERROR(ReadArgs(reader, entry));
+    } else {
+      HIVESIM_RETURN_IF_ERROR(reader.Skip());
     }
-    dataset.events.push_back(std::move(canon));
   }
-  return dataset;
 }
 
-Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text) {
-  JsonValue doc;
-  HIVESIM_ASSIGN_OR_RETURN(doc, ParseJson(json_text));
-  const JsonValue* events = doc.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return Status::InvalidArgument(
-        "not a Chrome trace: missing traceEvents array");
-  }
-  TraceDataset dataset;
-  std::map<int, size_t> lane_by_tid;
-  for (const JsonValue& ev : events->array) {
-    if (!ev.is_object()) {
-      return Status::InvalidArgument("traceEvents entry is not an object");
+/// One traceEvents array streamed into a dataset.
+class EventsIngest {
+ public:
+  EventsIngest() : names_(&dataset_.names), zones_(&dataset_.zones) {}
+
+  /// Reads the traceEvents array at the reader, replacing what an
+  /// earlier traceEvents array left. A syntax error is returned; the
+  /// first semantic error is kept in status() while the rest of the
+  /// array is still checked for syntax.
+  Status ReadArray(JsonReader& reader) {
+    dataset_.lanes.clear();
+    dataset_.events.clear();
+    names_.Clear();
+    zones_.Clear();
+    lane_by_tid_.clear();
+    status_ = Status::OK();
+    HIVESIM_RETURN_IF_ERROR(reader.BeginArray());
+    EntryFields entry;
+    for (bool more = true;;) {
+      HIVESIM_RETURN_IF_ERROR(reader.NextElement(&more));
+      if (!more) return Status::OK();
+      JsonValue::Kind kind;
+      HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+      if (!status_.ok()) {
+        HIVESIM_RETURN_IF_ERROR(reader.Skip());
+        continue;
+      }
+      if (kind != JsonValue::Kind::kObject) {
+        status_ =
+            Status::InvalidArgument("traceEvents entry is not an object");
+        HIVESIM_RETURN_IF_ERROR(reader.Skip());
+        continue;
+      }
+      HIVESIM_RETURN_IF_ERROR(ReadEntry(reader, &entry));
+      status_ = Add(entry);
     }
-    const JsonValue* ph = ev.Find("ph");
-    const std::string kind = ph != nullptr ? ph->StringOr("") : "";
-    const int tid = static_cast<int>(
-        ev.Find("tid") != nullptr ? ev.Find("tid")->NumberOr(-1) : -1);
-    if (kind == "M") {
-      const JsonValue* name = ev.Find("name");
-      if (name == nullptr || name->StringOr("") != "thread_name") continue;
-      const JsonValue* args = ev.Find("args");
-      const JsonValue* lane =
-          args != nullptr ? args->Find("name") : nullptr;
-      if (lane == nullptr || !lane->is_string()) {
+  }
+
+  const Status& status() const { return status_; }
+  TraceDataset&& TakeDataset() { return std::move(dataset_); }
+
+ private:
+  Status Add(const EntryFields& entry) {
+    using Ph = EntryFields::Ph;
+    if (entry.ph == Ph::kOther) return Status::OK();  // Unknown phases.
+    if (entry.ph == Ph::kMetadata && entry.name != "thread_name") {
+      return Status::OK();
+    }
+    int tid = -1;
+    if (!TruncateToInt(entry.tid, &tid)) {
+      return Status::InvalidArgument(
+          StrFormat("tid %g is outside the int range", entry.tid));
+    }
+    if (entry.ph == Ph::kMetadata) {
+      if (!entry.has_arg_name) {
         return Status::InvalidArgument("thread_name metadata without name");
       }
-      lane_by_tid.emplace(tid, dataset.lanes.size());
-      dataset.lanes.push_back(lane->string_value);
-      continue;
+      lane_by_tid_.emplace(tid, static_cast<int>(dataset_.lanes.size()));
+      dataset_.lanes.push_back(entry.arg_name);
+      return Status::OK();
     }
-    if (kind != "X" && kind != "i") continue;  // Unknown phases skipped.
-    const auto lane_it = lane_by_tid.find(tid);
-    if (lane_it == lane_by_tid.end()) {
+    const auto lane = lane_by_tid_.find(tid);
+    if (lane == lane_by_tid_.end()) {
       return Status::InvalidArgument(
           StrFormat("event references undeclared tid %d", tid));
     }
-    CanonEvent canon;
-    canon.instant = kind == "i";
-    const JsonValue* ts = ev.Find("ts");
-    if (ts == nullptr || !ts->is_number()) {
+    if (!entry.has_ts) {
       return Status::InvalidArgument("event without numeric ts");
     }
-    canon.ts_us = ts->number_value;
-    if (!canon.instant) {
-      const JsonValue* dur = ev.Find("dur");
-      canon.dur_us = dur != nullptr ? dur->NumberOr(0) : 0;
+    CanonEvent event;
+    if (!TruncateToInt(entry.epoch, &event.epoch)) {
+      return Status::InvalidArgument(
+          StrCat("event '", entry.name,
+                 "' has an epoch arg outside the int range"));
     }
-    canon.lane = dataset.lanes[lane_it->second];
-    const JsonValue* name = ev.Find("name");
-    canon.name = name != nullptr ? name->StringOr("") : "";
-    if (const JsonValue* args = ev.Find("args")) canon.args = *args;
-    dataset.events.push_back(std::move(canon));
+    event.instant = entry.ph == Ph::kInstant;
+    event.lane = lane->second;
+    event.name = names_.Intern(entry.name);
+    event.ts_us = entry.ts;
+    event.dur_us = event.instant ? 0 : entry.dur;
+    event.bytes = entry.bytes;
+    event.src_zone =
+        entry.src_zone.empty() ? -1 : zones_.Intern(entry.src_zone);
+    event.dst_zone =
+        entry.dst_zone.empty() ? -1 : zones_.Intern(entry.dst_zone);
+    dataset_.events.push_back(event);
+    return Status::OK();
   }
-  return dataset;
+
+  TraceDataset dataset_;
+  Interner names_;
+  Interner zones_;
+  std::unordered_map<int, int> lane_by_tid_;  ///< First declaration wins.
+  Status status_;
+};
+
+}  // namespace
+
+Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text) {
+  JsonReader reader(json_text);
+  EventsIngest ingest;
+  bool has_events = false;
+  JsonValue::Kind kind;
+  HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+  if (kind != JsonValue::Kind::kObject) {
+    HIVESIM_RETURN_IF_ERROR(reader.Skip());
+  } else {
+    HIVESIM_RETURN_IF_ERROR(reader.BeginObject());
+    for (std::string_view key;;) {
+      bool more = false;
+      HIVESIM_RETURN_IF_ERROR(reader.NextKey(&key, &more));
+      if (!more) break;
+      if (key != "traceEvents") {
+        HIVESIM_RETURN_IF_ERROR(reader.Skip());
+        continue;
+      }
+      HIVESIM_RETURN_IF_ERROR(reader.Peek(&kind));
+      has_events = kind == JsonValue::Kind::kArray;
+      HIVESIM_RETURN_IF_ERROR(has_events ? ingest.ReadArray(reader)
+                                         : reader.Skip());
+    }
+  }
+  HIVESIM_RETURN_IF_ERROR(reader.Finish());
+  if (!has_events) {
+    return Status::InvalidArgument(
+        "not a Chrome trace: missing traceEvents array");
+  }
+  if (!ingest.status().ok()) return ingest.status();
+  return ingest.TakeDataset();
 }
 
 std::string_view PhaseName(Phase phase) {
@@ -113,14 +334,90 @@ std::string_view PhaseName(Phase phase) {
 
 namespace {
 
-bool IsRunMarker(const CanonEvent& e) {
-  return e.instant && e.lane == "trace" && e.name == "run-start";
+/// What the round model reads a lane or an event name as. Computed
+/// once per lane and once per distinct name, so the per-event work is
+/// integer compares.
+enum class LaneRole { kOther, kTrainer, kNet, kChaos, kTrace };
+enum class NameRole {
+  kOther,
+  kCalc,
+  kComm,
+  kMatchmakeWait,
+  kMatchmake,
+  kRoundRetry,
+  kRoundDegraded,
+  kRunStart,
+  kFlow,  ///< "flow <src>-><dst>".
+};
+
+struct NameInfo {
+  NameRole role = NameRole::kOther;
+  int src = -1;  ///< kFlow endpoints.
+  int dst = -1;
+};
+
+LaneRole RoleOfLane(const std::string& lane) {
+  if (lane == "trainer") return LaneRole::kTrainer;
+  if (lane == "net") return LaneRole::kNet;
+  if (lane == "chaos") return LaneRole::kChaos;
+  if (lane == "trace") return LaneRole::kTrace;
+  return LaneRole::kOther;
 }
 
-int ArgInt(const JsonValue& args, const char* key, int fallback) {
-  const JsonValue* v = args.Find(key);
-  return v != nullptr ? static_cast<int>(v->NumberOr(fallback)) : fallback;
+NameInfo InfoOfName(const std::string& name) {
+  NameInfo info;
+  if (name == "calc") {
+    info.role = NameRole::kCalc;
+  } else if (name == "comm") {
+    info.role = NameRole::kComm;
+  } else if (name == "matchmake-wait") {
+    info.role = NameRole::kMatchmakeWait;
+  } else if (name == "matchmake") {
+    info.role = NameRole::kMatchmake;
+  } else if (name == "round-retry") {
+    info.role = NameRole::kRoundRetry;
+  } else if (name == "round-degraded") {
+    info.role = NameRole::kRoundDegraded;
+  } else if (name == "run-start") {
+    info.role = NameRole::kRunStart;
+  } else if (std::sscanf(name.c_str(), "flow %d->%d", &info.src,
+                         &info.dst) == 2) {
+    info.role = NameRole::kFlow;
+  }
+  return info;
 }
+
+/// Link names interned per (zone, zone) or (node, node) pair, so each
+/// distinct link name is built once.
+class LinkTable {
+ public:
+  explicit LinkTable(RoundModel* model)
+      : model_(model), names_(&model->links) {}
+
+  int Of(const CanonEvent& e, int src, int dst) {
+    const bool zoned = e.src_zone >= 0 && e.dst_zone >= 0;
+    const int a = zoned ? e.src_zone : src;
+    const int b = zoned ? e.dst_zone : dst;
+    const uint64_t key = (uint64_t{static_cast<uint32_t>(a)} << 32) |
+                         static_cast<uint32_t>(b);
+    std::unordered_map<uint64_t, int>& cache = zoned ? by_zones_ : by_nodes_;
+    const auto it = cache.find(key);
+    if (it != cache.end()) return it->second;
+    const std::vector<std::string>& zones = model_->zones;
+    const int id = names_.Intern(
+        zoned ? StrCat(zones[static_cast<size_t>(a)], "->",
+                       zones[static_cast<size_t>(b)])
+              : StrFormat("node%d->node%d", src, dst));
+    cache.emplace(key, id);
+    return id;
+  }
+
+ private:
+  RoundModel* model_;
+  Interner names_;
+  std::unordered_map<uint64_t, int> by_zones_;
+  std::unordered_map<uint64_t, int> by_nodes_;
+};
 
 /// A candidate covering interval for the sweep, already clipped to the
 /// window. `index` is the recorder-order position used for tie-breaks.
@@ -192,7 +489,25 @@ void AppendSegment(std::vector<Segment>* out, double start, double end,
 
 Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
   RoundModel model;
+  model.zones = dataset.zones;
   const std::vector<CanonEvent>& events = dataset.events;
+  std::vector<LaneRole> lane_roles;
+  lane_roles.reserve(dataset.lanes.size());
+  for (const std::string& lane : dataset.lanes) {
+    lane_roles.push_back(RoleOfLane(lane));
+  }
+  std::vector<NameInfo> names;
+  names.reserve(dataset.names.size());
+  for (const std::string& name : dataset.names) {
+    names.push_back(InfoOfName(name));
+  }
+  const auto lane_of = [&](const CanonEvent& e) {
+    return lane_roles[static_cast<size_t>(e.lane)];
+  };
+  const auto name_of = [&](const CanonEvent& e) -> const NameInfo& {
+    return names[static_cast<size_t>(e.name)];
+  };
+  LinkTable links(&model);
 
   // A process with global telemetry on (a bench binary's --trace-out,
   // any program embedding the library) records several simulations into
@@ -202,7 +517,11 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
   // matched against rounds of run k+1 by timestamp coincidence.
   std::vector<size_t> run_starts{0};
   for (size_t i = 1; i < events.size(); ++i) {
-    if (IsRunMarker(events[i])) run_starts.push_back(i);
+    const CanonEvent& e = events[i];
+    if (e.instant && lane_of(e) == LaneRole::kTrace &&
+        name_of(e).role == NameRole::kRunStart) {
+      run_starts.push_back(i);
+    }
   }
   model.num_runs = static_cast<int>(run_starts.size());
 
@@ -220,67 +539,58 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
     std::vector<FlowRef> flows;
     std::vector<double> retry_ts;
     std::vector<double> degraded_ts;
-    std::vector<std::pair<double, std::string>> chaos;
+    std::vector<std::pair<double, int>> chaos;  // (ts, name index)
 
     for (size_t i = begin; i < end; ++i) {
       const CanonEvent& e = events[i];
       extent_min = std::min(extent_min, e.ts_us);
       extent_max = std::max(extent_max, e.end_us());
-      if (e.lane == "trainer") {
-        if (!e.instant && e.name == "calc") {
+      const LaneRole lane = lane_of(e);
+      const NameInfo& name = name_of(e);
+      if (lane == LaneRole::kTrainer) {
+        if (!e.instant && name.role == NameRole::kCalc) {
           if (pending_comm) rounds.pop_back();  // calc without comm.
           Round round;
           round.run = static_cast<int>(r);
-          round.epoch = ArgInt(e.args, "epoch", -1);
+          round.epoch = e.epoch;
           round.start_us = e.ts_us;
           round.calc_end_us = e.end_us();
           round.avg_start_us = round.calc_end_us;
           round.end_us = round.calc_end_us;
           rounds.push_back(std::move(round));
           pending_comm = true;
-        } else if (!e.instant && e.name == "comm") {
+        } else if (!e.instant && name.role == NameRole::kComm) {
           if (pending_comm) {
             rounds.back().end_us = std::max(rounds.back().calc_end_us,
                                             e.end_us());
             pending_comm = false;
           }
-        } else if (!e.instant && e.name == "matchmake-wait") {
+        } else if (!e.instant && name.role == NameRole::kMatchmakeWait) {
           if (!rounds.empty()) {
             Round& round = rounds.back();
             round.avg_start_us = std::min(
                 std::max(e.end_us(), round.calc_end_us), round.end_us);
           }
-        } else if (!e.instant && e.name == "matchmake") {
+        } else if (!e.instant && name.role == NameRole::kMatchmake) {
           matchmakes.emplace_back(e.ts_us, e.end_us());
-        } else if (e.instant && e.name == "round-retry") {
+        } else if (e.instant && name.role == NameRole::kRoundRetry) {
           retry_ts.push_back(e.ts_us);
-        } else if (e.instant && e.name == "round-degraded") {
+        } else if (e.instant && name.role == NameRole::kRoundDegraded) {
           degraded_ts.push_back(e.ts_us);
         }
-      } else if (e.lane == "net" && !e.instant) {
-        int src = -1;
-        int dst = -1;
-        if (std::sscanf(e.name.c_str(), "flow %d->%d", &src, &dst) == 2) {
-          FlowRef flow;
-          flow.start_us = e.ts_us;
-          flow.end_us = e.end_us();
-          flow.src = src;
-          flow.dst = dst;
-          if (const JsonValue* bytes = e.args.Find("bytes")) {
-            flow.bytes = bytes->NumberOr(0);
-          }
-          if (const JsonValue* zone = e.args.Find("src_zone")) {
-            flow.src_zone = zone->StringOr("");
-          }
-          if (const JsonValue* zone = e.args.Find("dst_zone")) {
-            flow.dst_zone = zone->StringOr("");
-          }
-          flow.link = !flow.src_zone.empty() && !flow.dst_zone.empty()
-                          ? StrCat(flow.src_zone, "->", flow.dst_zone)
-                          : StrFormat("node%d->node%d", src, dst);
-          flows.push_back(std::move(flow));
-        }
-      } else if (e.lane == "chaos" && e.instant) {
+      } else if (lane == LaneRole::kNet && !e.instant &&
+                 name.role == NameRole::kFlow) {
+        FlowRef flow;
+        flow.start_us = e.ts_us;
+        flow.end_us = e.end_us();
+        flow.bytes = e.bytes;
+        flow.src = name.src;
+        flow.dst = name.dst;
+        flow.src_zone = e.src_zone;
+        flow.dst_zone = e.dst_zone;
+        flow.link = links.Of(e, name.src, name.dst);
+        flows.push_back(flow);
+      } else if (lane == LaneRole::kChaos && e.instant) {
         chaos.emplace_back(e.ts_us, e.name);
       }
     }
@@ -302,7 +612,7 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
         cover.start = clipped.start_us;
         cover.end = clipped.end_us;
         cover.index = static_cast<int>(round.flows.size());
-        round.flows.push_back(std::move(clipped));
+        round.flows.push_back(clipped);
         flow_covers.push_back(cover);
       }
       std::vector<Cover> mm_covers;
@@ -335,7 +645,7 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
       }
       for (const auto& [ts, name] : chaos) {
         if (ts >= round.start_us && ts < round.end_us) {
-          round.chaos.push_back(name);
+          round.chaos.push_back(dataset.names[static_cast<size_t>(name)]);
         }
       }
       run_modeled += round.dur_us();

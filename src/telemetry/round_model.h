@@ -5,58 +5,60 @@
 #include <string_view>
 #include <vector>
 
-#include "common/json_parse.h"
 #include "common/result.h"
-#include "telemetry/telemetry.h"
 
 namespace hivesim::telemetry {
 
 /// The analyzer's input/round-reconstruction layer (consumed by
-/// telemetry/analysis.h). A trace reaches the analyzer two ways — live
-/// from a `TraceRecorder` or post-hoc from the Chrome trace_event JSON
-/// the recorder wrote — and both must yield *bit-identical* doubles so
-/// the final report is byte-identical across modes. The trick is to
-/// canonicalize through the serialized form: `ToChromeJson` prints
-/// microsecond timestamps as %.6f decimal text, so the in-process path
-/// formats and re-parses each timestamp exactly the way the post-hoc
-/// parser (`common/json_parse`, strtod) reads it back. All round-model
-/// arithmetic then happens on those canonical microsecond doubles, in
-/// recorder order, in both modes.
+/// telemetry/analysis.h). A trace reaches the analyzer as the text of
+/// the Chrome trace_event JSON that `TraceRecorder::ToChromeJson`
+/// writes. Ingestion streams that text once with `JsonReader` (no
+/// `JsonValue` tree) into a compact dataset: lanes, event names and
+/// zones are interned, and each event keeps only the typed args the
+/// analyzer reads. The dataset is the same as a walk over
+/// `ParseJson`'s tree would give (docs/PERFORMANCE.md states the
+/// contract), so every timestamp is the double strtod reads from the
+/// file's %.6f text.
 
-/// The canonical microsecond value of `value_us`: the double obtained by
-/// printing it as %.6f (the trace file's format) and parsing the text
-/// back with strtod. Idempotent; quantizes to 1e-6 us = 1e-12 sim-sec.
-double CanonMicros(double value_us);
-
-/// One trace event normalized to canonical microseconds. `args` holds
-/// the parsed args object (kNull when the event carried none).
+/// One trace event, times in the trace file's microseconds.
 struct CanonEvent {
   bool instant = false;
+  int lane = 0;  ///< Index into TraceDataset::lanes.
+  int name = 0;  ///< Index into TraceDataset::names.
   double ts_us = 0;
   double dur_us = 0;  ///< 0 for instants.
-  std::string lane;
-  std::string name;
-  JsonValue args;
+  // The args the analyzer reads. An absent arg, or one of the wrong
+  // JSON type, reads as the default.
+  int epoch = -1;     ///< args.epoch, truncated to int.
+  double bytes = 0;   ///< args.bytes.
+  int src_zone = -1;  ///< args.src_zone as a TraceDataset::zones index;
+                      ///< -1 when absent or "".
+  int dst_zone = -1;  ///< args.dst_zone, likewise.
 
   double end_us() const { return ts_us + dur_us; }
 };
 
-/// A full trace in canonical form, events in recorder order (identical
-/// to file order — `ToChromeJson` serializes in recorder order).
+/// A full trace, events in file order (which is
+/// recorder order — `ToChromeJson` serializes in recorder order).
 struct TraceDataset {
-  std::vector<std::string> lanes;  ///< First-use order.
+  /// One entry per thread_name metadata event, in file order. A tid
+  /// declared twice keeps its first lane (the later name is still
+  /// listed, unreferenced).
+  std::vector<std::string> lanes;
+  std::vector<std::string> names;  ///< Distinct event names, first use.
+  std::vector<std::string> zones;  ///< Distinct zone args, first use.
   std::vector<CanonEvent> events;
 };
 
-/// Builds the canonical dataset straight from an in-process recorder.
-/// Errors (InvalidArgument) if an event's args string is not valid JSON
-/// — the same trace would be unreadable post-hoc.
-Result<TraceDataset> DatasetFromRecorder(const TraceRecorder& recorder);
-
-/// Builds the canonical dataset from the text of a Chrome trace_event
-/// file written by `TraceRecorder::ToChromeJson`. Lane names come from
-/// the thread_name metadata events; non-metadata events must reference
-/// a declared tid.
+/// Builds the dataset from the text of a Chrome trace_event
+/// file written by `TraceRecorder::ToChromeJson`, in one pass over the
+/// text. Lane names come from the thread_name metadata events;
+/// non-metadata events ("X" spans and "i" instants; other phases are
+/// skipped) must reference a declared tid. Duplicate keys keep their
+/// last value, and a later traceEvents key replaces an earlier one.
+/// InvalidArgument on any syntax error (skipped values included), on a
+/// missing traceEvents array, and on a tid or an epoch arg outside the
+/// int range.
 Result<TraceDataset> DatasetFromChromeJson(std::string_view json_text);
 
 /// What a slice of critical-path time was spent on.
@@ -78,9 +80,9 @@ struct FlowRef {
   double bytes = 0;
   int src = -1;
   int dst = -1;
-  std::string src_zone;  ///< Empty when the trace predates zone args.
-  std::string dst_zone;
-  std::string link;  ///< "src_zone->dst_zone", or "node<s>->node<d>".
+  int src_zone = -1;  ///< RoundModel::zones index; -1 when the trace
+  int dst_zone = -1;  ///< predates zone args.
+  int link = -1;      ///< RoundModel::links index.
 };
 
 /// One slice of a round's critical path. Slices partition
@@ -121,6 +123,11 @@ struct RoundModel {
   /// restarting at t=0), separated by "run-start" instants on the
   /// "trace" lane; a marker-free trace is a single run.
   int num_runs = 1;
+  /// Zone names (the dataset's zones) and link names, which FlowRef
+  /// indexes. A link is "src_zone->dst_zone", or "node<s>->node<d>"
+  /// when a flow lacks a zone arg; equal names share one index.
+  std::vector<std::string> zones;
+  std::vector<std::string> links;
   double modeled_us = 0;    ///< Sum of round durations.
   double unmodeled_us = 0;  ///< Traced sim-time outside any complete
                             ///< round (bootstrap head, stopped tail).

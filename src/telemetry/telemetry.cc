@@ -74,9 +74,9 @@ std::string TraceRecorder::ToChromeJson() const {
   for (const Event& e : events_) {
     // Chrome trace timestamps are microseconds; sim time is seconds.
     // %.6f (picosecond resolution) keeps the decimal text lossless enough
-    // that the analyzer's canonicalization (telemetry/round_model.h) can
-    // reconcile phase totals against trainer counters to <1e-9 sim-sec
-    // over a whole run.
+    // that the analyzer (telemetry/round_model.h), which reads these
+    // values back, can reconcile phase totals against trainer counters
+    // to <1e-9 sim-sec over a whole run.
     const double ts_us = e.ts_sec * 1e6;
     if (e.instant) {
       out += StrFormat(

@@ -24,8 +24,7 @@ namespace hivesim::telemetry {
 /// what lets the simulator kernel itself be instrumented without a cycle.
 class TraceRecorder {
  public:
-  /// One recorded event. Exposed read-only so in-process consumers (the
-  /// critical-path analyzer in telemetry/analysis.h) can walk the trace
+  /// One recorded event. Exposed read-only so tests can walk the trace
   /// without a serialize/parse round trip.
   struct Event {
     double ts_sec = 0;

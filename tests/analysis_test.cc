@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/units.h"
 #include "faults/chaos.h"
 #include "hivemind/monitor.h"
@@ -36,6 +38,12 @@ class AnalysisTest : public ::testing::Test {
 ///   calc 10 s; wait 2 s; us->eu binding on [12,14] (2 s, flow 1->0 not
 ///   yet started... actually both run on [14,16] but 1->0 ends later so
 ///   it wins the slice); eu->us on [14,19] (5 s); overhead [19,20] (1 s).
+/// Analyzes a recorder the way `hivesim analyze` analyzes the file the
+/// recorder would write.
+Result<AnalysisReport> Analyze(const TraceRecorder& trace) {
+  return AnalyzeChromeJson(trace.ToChromeJson());
+}
+
 TraceRecorder TwoFlowRound() {
   TraceRecorder trace;
   // Recorder order matches the live system: flows are recorded as they
@@ -53,7 +61,7 @@ TraceRecorder TwoFlowRound() {
 }
 
 TEST_F(AnalysisTest, CriticalPathMatchesHandComputedGraph) {
-  auto report = AnalyzeRecorder(TwoFlowRound());
+  auto report = Analyze(TwoFlowRound());
   ASSERT_TRUE(report.ok());
 
   ASSERT_EQ(report->model.rounds.size(), 1u);
@@ -125,7 +133,7 @@ TEST_F(AnalysisTest, MatchmakeSpansRefineTheWaitWindow) {
              "{\"discovered\":3,\"timed_out\":false}");
   trace.Span(14.0, 20.0, "net", "flow 1->0", "{\"bytes\":1}");
 
-  auto report = AnalyzeRecorder(trace);
+  auto report = Analyze(trace);
   ASSERT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report->totals.calc_sec, 10.0);
   EXPECT_DOUBLE_EQ(report->totals.matchmake_wait_sec, 3.0);
@@ -146,7 +154,7 @@ TEST_F(AnalysisTest, RunMarkersSegmentTraceAndIncompleteRoundsDrop) {
   trace.Span(5.0, 9.0, "trainer", "comm", "{\"epoch\":0}");
   trace.Span(9.0, 12.0, "trainer", "calc", "{\"epoch\":1}");  // No comm.
 
-  auto report = AnalyzeRecorder(trace);
+  auto report = Analyze(trace);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->model.num_runs, 2);
   ASSERT_EQ(report->model.rounds.size(), 2u);
@@ -168,41 +176,42 @@ TEST_F(AnalysisTest, ChromeJsonRoundTripReconstructsTheSameSpans) {
   trace.Instant(0.0, "trace", "run-start");
   trace.Span(1.0 / 3.0, 2.0 / 3.0, "trainer", "calc", "{\"epoch\":0}");
 
-  auto direct = DatasetFromRecorder(trace);
-  ASSERT_TRUE(direct.ok());
   auto parsed = DatasetFromChromeJson(trace.ToChromeJson());
   ASSERT_TRUE(parsed.ok());
 
-  EXPECT_EQ(direct->lanes, parsed->lanes);
-  ASSERT_EQ(direct->events.size(), parsed->events.size());
-  for (size_t i = 0; i < direct->events.size(); ++i) {
-    const CanonEvent& a = direct->events[i];
-    const CanonEvent& b = parsed->events[i];
-    EXPECT_EQ(a.instant, b.instant) << "event " << i;
-    EXPECT_EQ(a.lane, b.lane) << "event " << i;
-    EXPECT_EQ(a.name, b.name) << "event " << i;
-    // Bit-identical, not just close: the in-process path canonicalizes
-    // through the same %.6f + strtod round trip the file goes through.
-    EXPECT_EQ(a.ts_us, b.ts_us) << "event " << i;
-    EXPECT_EQ(a.dur_us, b.dur_us) << "event " << i;
-    const JsonValue* bytes_a = a.args.Find("bytes");
-    const JsonValue* bytes_b = b.args.Find("bytes");
-    ASSERT_EQ(bytes_a != nullptr, bytes_b != nullptr) << "event " << i;
-    if (bytes_a != nullptr) {
-      EXPECT_EQ(bytes_a->NumberOr(-1), bytes_b->NumberOr(-2));
-    }
+  EXPECT_EQ(parsed->lanes, trace.lanes());
+  ASSERT_EQ(parsed->events.size(), trace.events().size());
+  for (size_t i = 0; i < trace.events().size(); ++i) {
+    const TraceRecorder::Event& want = trace.events()[i];
+    const CanonEvent& got = parsed->events[i];
+    EXPECT_EQ(got.instant, want.instant) << "event " << i;
+    EXPECT_EQ(parsed->lanes[static_cast<size_t>(got.lane)],
+              trace.lanes()[static_cast<size_t>(want.lane)])
+        << "event " << i;
+    EXPECT_EQ(parsed->names[static_cast<size_t>(got.name)], want.name)
+        << "event " << i;
+    // Bit-identical to the file's %.6f microsecond text read by strtod.
+    const auto micros = [](double sec) {
+      return std::strtod(StrFormat("%.6f", sec * 1e6).c_str(), nullptr);
+    };
+    EXPECT_EQ(got.ts_us, micros(want.ts_sec)) << "event " << i;
+    EXPECT_EQ(got.dur_us, want.instant ? 0.0 : micros(want.dur_sec))
+        << "event " << i;
   }
-}
-
-TEST_F(AnalysisTest, RoundAnalyzerErrorsWhenTelemetryDisabled) {
-  Telemetry::Disable();
-  auto report = RoundAnalyzer().Analyze();
-  EXPECT_FALSE(report.ok());
-  Telemetry::Enable();  // Restore the fixture's expected state.
+  // Typed args: the flow keeps bytes and both zones; the first calc its
+  // epoch.
+  const CanonEvent& flow = parsed->events[2];
+  EXPECT_EQ(flow.bytes, 123456789.0);
+  ASSERT_GE(flow.src_zone, 0);
+  ASSERT_GE(flow.dst_zone, 0);
+  EXPECT_EQ(parsed->zones[static_cast<size_t>(flow.src_zone)], "gc-us");
+  EXPECT_EQ(parsed->zones[static_cast<size_t>(flow.dst_zone)], "gc-eu");
+  EXPECT_EQ(parsed->events[0].epoch, 0);
+  EXPECT_EQ(parsed->events[3].epoch, -1);  // The chaos instant has none.
 }
 
 TEST_F(AnalysisTest, AttachMetricsJsonRejectsNonSnapshots) {
-  auto report = AnalyzeRecorder(TwoFlowRound());
+  auto report = Analyze(TwoFlowRound());
   ASSERT_TRUE(report.ok());
   auto doc = ParseJson("{\"not_counters\":{}}");
   ASSERT_TRUE(doc.ok());
@@ -259,41 +268,23 @@ void RunChaosTraining(uint64_t seed) {
   trainer.Stop();
 }
 
-TEST_F(AnalysisTest, InProcessAndPostHocAnalysesAreByteIdentical) {
-  RunChaosTraining(11);
-
-  // In-process mode: live recorder + registry.
-  auto in_process = RoundAnalyzer().Analyze();
-  ASSERT_TRUE(in_process.ok());
-  const std::string in_process_json = in_process->ToJson();
-
-  // Post-hoc mode: exactly what `hivesim analyze --trace --metrics`
-  // does with the files a run would have written.
-  const std::string trace_file = Telemetry::trace().ToChromeJson();
-  const std::string metrics_file = Telemetry::metrics().ToJson();
-  auto post_hoc = AnalyzeChromeJson(trace_file);
-  ASSERT_TRUE(post_hoc.ok());
-  auto metrics_doc = ParseJson(metrics_file);
-  ASSERT_TRUE(metrics_doc.ok());
-  ASSERT_TRUE(AttachMetricsJson(&post_hoc.value(), *metrics_doc).ok());
-
-  EXPECT_EQ(in_process_json, post_hoc->ToJson());
-
-  // The run actually exercised the interesting paths.
-  EXPECT_GT(in_process->model.rounds.size(), 0u);
-  EXPECT_GT(in_process->links.size(), 0u);
-  EXPECT_GT(in_process->totals.flow_sec, 0.0);
-
-  // Analyzing the same recorder again is byte-stable.
-  auto again = RoundAnalyzer().Analyze();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(in_process_json, again->ToJson());
+/// The post-hoc analysis of the current telemetry sinks, reconciled
+/// against the live registry.
+Result<AnalysisReport> AnalyzeSinks() {
+  Result<AnalysisReport> report =
+      AnalyzeChromeJson(Telemetry::trace().ToChromeJson());
+  if (report.ok()) AttachMetrics(&report.value(), Telemetry::metrics());
+  return report;
 }
 
 TEST_F(AnalysisTest, PhaseTotalsReconcileWithTrainerCounters) {
   RunChaosTraining(11);
-  auto report = RoundAnalyzer().Analyze();
+  auto report = AnalyzeSinks();
   ASSERT_TRUE(report.ok());
+  // The run exercised rounds, flows and links.
+  EXPECT_GT(report->model.rounds.size(), 0u);
+  EXPECT_GT(report->links.size(), 0u);
+  EXPECT_GT(report->totals.flow_sec, 0.0);
   ASSERT_EQ(report->reconciliation.size(), 3u);
   for (const ReconciliationRow& row : report->reconciliation) {
     // Calc and comm always accrue; matchmake-wait legitimately stays 0
@@ -307,21 +298,30 @@ TEST_F(AnalysisTest, PhaseTotalsReconcileWithTrainerCounters) {
   EXPECT_NE(json.find("\"schema\":\"hivesim-analysis/1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"reconciliation\":["), std::string::npos);
+
+  // `hivesim analyze --metrics` reads the written snapshot instead of
+  // the live registry; both reconcile to the same bytes.
+  auto from_file = AnalyzeChromeJson(Telemetry::trace().ToChromeJson());
+  ASSERT_TRUE(from_file.ok());
+  auto metrics_doc = ParseJson(Telemetry::metrics().ToJson());
+  ASSERT_TRUE(metrics_doc.ok());
+  ASSERT_TRUE(AttachMetricsJson(&from_file.value(), *metrics_doc).ok());
+  EXPECT_EQ(json, from_file->ToJson());
 }
 
 TEST_F(AnalysisTest, IdenticallySeededRunsAnalyzeByteIdentically) {
   RunChaosTraining(17);
-  auto first = RoundAnalyzer().Analyze();
+  auto first = AnalyzeSinks();
   ASSERT_TRUE(first.ok());
   const std::string first_json = first->ToJson();
 
   RunChaosTraining(17);
-  auto second = RoundAnalyzer().Analyze();
+  auto second = AnalyzeSinks();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first_json, second->ToJson());
 
   RunChaosTraining(18);
-  auto other = RoundAnalyzer().Analyze();
+  auto other = AnalyzeSinks();
   ASSERT_TRUE(other.ok());
   EXPECT_NE(first_json, other->ToJson());
 }

@@ -57,8 +57,8 @@ struct LintConfig {
       "CounterHandle", "ToJson",         "ToCsv",         "ToChromeJson",
       "WriteJson",    "WriteCsv",        "WriteChromeJson", "Counter",
       "Gauge",        "Histogram",       "AppendCsv",     "AnalysisReport",
-      "RoundAnalyzer", "AnalyzeDataset", "AnalyzeRecorder",
-      "AnalyzeChromeJson", "BuildRoundModel", "PrintTable",
+      "AnalyzeDataset", "AnalyzeChromeJson", "BuildRoundModel",
+      "PrintTable",
   };
 
   /// The declared module DAG: module -> direct dependencies. Both the

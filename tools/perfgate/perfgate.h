@@ -33,8 +33,9 @@ struct GateOptions {
   std::string baseline_dir;  ///< Committed baselines (bench/baselines).
   std::string current_dir;   ///< Freshly generated artifacts.
   /// Areas to gate; each maps to one BENCH_<area>.json in both dirs.
-  std::vector<std::string> areas = {"chaos", "fig3", "fleet", "kernel_net",
-                                    "kernel_sim"};
+  std::vector<std::string> areas = {"chaos",         "fig3",
+                                    "fleet",         "kernel_cohort",
+                                    "kernel_net",    "kernel_sim"};
   /// Allowed relative slowdown (0.25 = current may be up to 25% slower
   /// than baseline) unless the baseline overrides it per bench.
   double default_threshold = 0.25;
