@@ -179,11 +179,13 @@ FleetResult CheckFleetDeterminism() {
   }
   std::printf("FLEET_DETERMINISM OK (%llu completions, %llu heartbeats, "
               "%llu events; %.0f solves, %.0f at a repeated timestamp, "
-              "%.0f flow settles, %.0f events heaped)\n",
+              "%.0f flow settles, %.0f pinned removals, %.0f events "
+              "heaped)\n",
               (unsigned long long)a.completions,
               (unsigned long long)a.heartbeats,
               (unsigned long long)a.events_fired, a.work.solves,
-              a.work.solves_same_ts, a.work.flows_settled, a.events_heaped);
+              a.work.solves_same_ts, a.work.flows_settled,
+              a.work.removals_pinned, a.events_heaped);
   return a;
 }
 

@@ -194,8 +194,10 @@ ChaosRun PrintChaos() {
       identical ? "bit-identical" : "MISMATCH");
   std::cout << StrFormat(
       "Network work: %.0f solves (%.0f at the same timestamp as the "
-      "previous one), %.0f flow settles.\n",
-      chaos.work.solves, chaos.work.solves_same_ts, chaos.work.flows_settled);
+      "previous one), %.0f flow settles, %.0f removals from pinned "
+      "components without a solve.\n",
+      chaos.work.solves, chaos.work.solves_same_ts, chaos.work.flows_settled,
+      chaos.work.removals_pinned);
   std::cout << "Throughput collapses inside each fault window and recovers "
                "after it; the partition hour survives by averaging within "
                "the reachable half of the fleet.\n";

@@ -217,6 +217,7 @@ void NetWorkCounters::AddChecks(const std::string& prefix,
   perf.AddCheck(prefix + "_solves", solves);
   perf.AddCheck(prefix + "_solves_same_ts", solves_same_ts);
   perf.AddCheck(prefix + "_flows_settled", flows_settled);
+  perf.AddCheck(prefix + "_removals_pinned", removals_pinned);
 }
 
 PrivateMetrics::PrivateMetrics() : sinks_(/*trace=*/nullptr, &metrics_) {}
@@ -226,6 +227,7 @@ NetWorkCounters PrivateMetrics::net_work() const {
   counters.solves = metrics_.CounterValue("net.solves");
   counters.solves_same_ts = metrics_.CounterValue("net.solves_same_ts");
   counters.flows_settled = metrics_.CounterValue("net.flows_settled");
+  counters.removals_pinned = metrics_.CounterValue("net.removals_pinned");
   return counters;
 }
 

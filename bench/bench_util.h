@@ -113,16 +113,18 @@ class PerfJsonScope {
 };
 
 /// The network layer's deterministic work counters for one run
-/// (`net.solves`, `net.solves_same_ts`, `net.flows_settled`; see
-/// docs/OBSERVABILITY.md). Registered as perfgate checks, they turn a
-/// complexity regression into check drift that no timing noise hides.
+/// (`net.solves`, `net.solves_same_ts`, `net.flows_settled`,
+/// `net.removals_pinned`; see docs/OBSERVABILITY.md). Registered as
+/// perfgate checks, they turn a complexity regression into check drift
+/// that no timing noise hides.
 struct NetWorkCounters {
   double solves = 0;
   double solves_same_ts = 0;
   double flows_settled = 0;
+  double removals_pinned = 0;
 
   bool operator==(const NetWorkCounters&) const = default;
-  /// Registers the three counters as `<prefix>_solves`, ...
+  /// Registers the four counters as `<prefix>_solves`, ...
   void AddChecks(const std::string& prefix, PerfJsonScope& perf) const;
 };
 

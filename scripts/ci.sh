@@ -146,6 +146,19 @@ for workload in fleet_churn chaos_swarm paper_sweep; do
     exit 1
   fi
 done
+# Only a --trace 1 run checks that the outputs with telemetry on equal
+# those with it off; the removal path (pinned skips included) and its
+# work counters run under telemetry here.
+for workload in chaos_swarm fleet_churn; do
+  result="$(python3 hivebench/run.py --workload "$workload" --seconds 1 \
+    --trace 1 | tail -n 1)"
+  echo "$workload (trace): $result"
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "hivebench $workload --trace 1 no longer reproduces" \
+      "hivebench/reference/$workload.json" >&2
+    exit 1
+  fi
+done
 
 echo "=== perf smoke: BM_Fleet/1000 bounded sanity run ==="
 cmake --build --preset default -j "$(nproc)" --target bench_fleet

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <type_traits>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -12,6 +13,17 @@ namespace {
 // Flows are megabytes; anything below one byte is floating-point residue.
 constexpr double kEpsilonBytes = 1.0;
 constexpr double kEpsilonRate = 1e-9;
+
+// Limits of a pinned component (Network::ComponentPinned). The cap ratio
+// and the flow count keep the rounding of any egress sum over its flows
+// below 1/16 of the smallest cap; the distinct-cap limit bounds the
+// pairwise level-step check outside a 2x band.
+constexpr size_t kMaxPinnedFlows = size_t{1} << 14;
+constexpr double kMaxPinnedCapRatio = 0x1p20;
+constexpr int kMaxPinnedDistinctCaps = 32;
+// Each resource's summed caps stay at or below this fraction of its
+// capacity: far more slack than the solver's rounding can eat.
+constexpr double kPinnedSlack = 1 - 0x1p-20;
 
 uint64_t NodePairKey(NodeId src, NodeId dst) {
   return (static_cast<uint64_t>(src) << 32) | dst;
@@ -203,6 +215,8 @@ bool Network::CancelFlow(FlowId id) {
   auto it = flow_index_.find(id);
   if (it == flow_index_.end()) return false;
   const FlowSlot slot = it->second;
+  // Solves the flow's component if it gained arrivals, so the pinned bit
+  // read by RemoveFlow is that of the component the flow leaves.
   FlushArrivals();
   Progress();
   Flow& flow = flow_slab_[slot];
@@ -222,13 +236,7 @@ bool Network::CancelFlow(FlowId id) {
             topology_->site(flow.src_site).name.c_str(),
             topology_->site(flow.dst_site).name.c_str()));
   }
-  ResSlot seed[3];
-  std::copy(flow.res_slots, flow.res_slots + flow.num_keys, seed);
-  const int num_seed = flow.num_keys;
-  RemoveFlowFromResources(slot);
-  flow_index_.erase(it);
-  FreeFlowSlot(slot);
-  SolveComponent(seed, num_seed);
+  RemoveFlow(slot);
   return true;
 }
 
@@ -540,12 +548,14 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
       break;
     }
     // Compact drained resources out of the active prefix, keeping the
-    // parallel arrays and the slot->position index in sync.
+    // parallel arrays and the slot->position index in sync. Slots are
+    // swapped, not overwritten, so `comp_res_slots_` still lists every
+    // resource of the component for ComponentPinned.
     size_t w = 0;
     for (size_t j = 0; j < active; ++j) {
       if (comp_res_unfrozen_[j] <= 0) continue;
       if (w != j) {
-        comp_res_slots_[w] = comp_res_slots_[j];
+        std::swap(comp_res_slots_[w], comp_res_slots_[j]);
         comp_res_remaining_[w] = comp_res_remaining_[j];
         comp_res_unfrozen_[w] = comp_res_unfrozen_[j];
         res_comp_pos_[comp_res_slots_[w]] = static_cast<uint32_t>(w);
@@ -611,6 +621,58 @@ void Network::SolveComponent(const ResSlot* seeds, int num_seeds) {
     node_peak_egress_[flow.src] =
         std::max(node_peak_egress_[flow.src], rate);
   }
+
+  const bool pinned = ComponentPinned();
+  for (const FlowSlot fs : comp_flow_slots_) flow_slab_[fs].pinned = pinned;
+}
+
+bool Network::ComponentPinned() const {
+  // Why these four conditions make a removal's re-solve a no-op, and why
+  // they carry over to the survivors: docs/PERFORMANCE.md ("Pinned
+  // components: removals without a re-solve"). Cheapest test first.
+  const size_t num_flows = comp_flow_slots_.size();
+  // 1. Every flow's rate is its stream cap, bit for bit.
+  for (size_t i = 0; i < num_flows; ++i) {
+    if (comp_flow_rate_[i] != comp_flow_cap_[i]) return false;
+  }
+  // 2. A bounded spread of positive caps (sorted ascending) and a bounded
+  // component, so every sender's egress sum rounds by far less than its
+  // smallest term.
+  const double lo = comp_flow_cap_[0];
+  const double hi = comp_flow_cap_[num_flows - 1];
+  if (num_flows > kMaxPinnedFlows || !(lo > 0) || !std::isfinite(hi) ||
+      hi > lo * kMaxPinnedCapRatio) {
+    return false;
+  }
+  // 3. Every level step between two distinct caps lands exactly on the
+  // higher one: a + (b - a) == b. Inside a 2x band b - a is exact
+  // (Sterbenz); outside it the pairs are checked.
+  if (hi > 2 * lo) {
+    double distinct[kMaxPinnedDistinctCaps];
+    int num_distinct = 0;
+    for (size_t i = 0; i < num_flows; ++i) {
+      const double cap = comp_flow_cap_[i];
+      if (num_distinct > 0 && cap == distinct[num_distinct - 1]) continue;
+      if (num_distinct == kMaxPinnedDistinctCaps) return false;
+      distinct[num_distinct++] = cap;
+    }
+    for (int x = 0; x < num_distinct; ++x) {
+      for (int y = x + 1; y < num_distinct; ++y) {
+        const double a = distinct[x];
+        const double b = distinct[y];
+        if (a + (b - a) != b) return false;
+      }
+    }
+  }
+  // 4. Every resource keeps slack: the caps of its users, summed once,
+  // stay below its capacity by a 2^-20 fraction of it.
+  for (const ResSlot rs : comp_res_slots_) {
+    const Resource& res = res_slab_[rs];
+    double caps = 0;
+    for (const FlowSlot fs : res.flows) caps += flow_slab_[fs].stream_cap_bps;
+    if (!(caps <= res.capacity_bps * kPinnedSlack)) return false;
+  }
+  return true;
 }
 
 void Network::OnFlowDeadline(FlowSlot slot, uint32_t generation) {
@@ -658,14 +720,33 @@ void Network::FinishFlow(FlowSlot slot) {
                   topology_->site(flow.dst_site).name.c_str()));
   }
   FlowCallback cb = std::move(flow.on_complete);
+  RemoveFlow(slot);
+  if (cb) cb();
+}
+
+void Network::RemoveFlow(FlowSlot slot) {
+  const Flow& flow = flow_slab_[slot];
   ResSlot seed[3];
   std::copy(flow.res_slots, flow.res_slots + flow.num_keys, seed);
   const int num_seed = flow.num_keys;
+  const bool pinned = flow.pinned;
   RemoveFlowFromResources(slot);
   flow_index_.erase(flow.id);
   FreeFlowSlot(slot);
-  SolveComponent(seed, num_seed);
-  if (cb) cb();
+  if (!pinned) {
+    SolveComponent(seed, num_seed);
+    return;
+  }
+  // The survivors would re-solve to their current rates bit for bit
+  // (ComponentPinned), and they stay pinned. Counted only when there are
+  // survivors (a seed is still live): without any, the solve would have
+  // found an empty component and cost nothing.
+  for (int i = 0; i < num_seed; ++i) {
+    if (res_slab_[seed[i]].live) {
+      removals_pinned_counter_.Add();
+      break;
+    }
+  }
 }
 
 void Network::FinishLatencyFlow(FlowId id) {

@@ -65,6 +65,15 @@ struct FlowOptions {
 /// `NodePeakEgressRate` also solve pending arrivals before answering. See
 /// docs/PERFORMANCE.md ("One solve per timestamp (arrivals)").
 ///
+/// A removal from a *pinned* component skips its re-solve. Every solve
+/// marks its flows pinned when each one sits exactly at its own stream
+/// cap with room to spare on every shared resource (the four conditions
+/// at `ComponentPinned`); any subset of such a component solves to the
+/// same caps bit for bit, so the survivors' rates, settle points,
+/// deadlines and peak-egress sums cannot move, and skipping is exact.
+/// See docs/PERFORMANCE.md ("Pinned components: removals without a
+/// re-solve").
+///
 /// Storage is structure-of-arrays at fleet scale: flows and resources
 /// live in index-based slabs (`flow_slab_` / `res_slab_`, free-listed,
 /// never shrinking), resource user-lists hold slab indices, and each
@@ -201,6 +210,11 @@ class Network : private sim::EndOfTimestampHook {
     double rate_bps = 0;       // Current fair share.
     double settled_sec = 0;    // Progress is booked up to this time.
     double stream_cap_bps = 0; // min(path, streams * window/RTT, app cap).
+    // Set by the last solve of this flow's component when that component
+    // is pinned (`ComponentPinned`): removing the flow then needs no
+    // re-solve. A new flow starts unpinned and is solved before any
+    // removal reads the bit.
+    bool pinned = false;
     FlowCallback on_complete;
     sim::EventId completion_event = 0;
     bool has_completion_event = false;
@@ -268,6 +282,14 @@ class Network : private sim::EndOfTimestampHook {
   /// component are untouched, and completion events inside it are only
   /// rescheduled when the flow's rate moved by more than epsilon.
   void SolveComponent(const ResSlot* seeds, int num_seeds);
+  /// Whether the component `SolveComponent` just solved is pinned: every
+  /// removal from it, and from what is left after one, solves to the
+  /// same rates bit for bit. Reads the solve's scratch arrays.
+  bool ComponentPinned() const;
+  /// Unregisters and frees a removed flow, then re-solves what it leaves
+  /// behind unless its component was pinned (`net.removals_pinned`
+  /// counts the skipped solves).
+  void RemoveFlow(FlowSlot slot);
   /// Fires when the flow occupying `slot` is expected to finish; a no-op
   /// once the slot's generation has moved past `generation` (the flow is
   /// gone and the slot may hold another).
@@ -353,6 +375,7 @@ class Network : private sim::EndOfTimestampHook {
   telemetry::CounterHandle solves_counter_{"net.solves"};
   telemetry::CounterHandle solves_same_ts_counter_{"net.solves_same_ts"};
   telemetry::CounterHandle flows_settled_counter_{"net.flows_settled"};
+  telemetry::CounterHandle removals_pinned_counter_{"net.removals_pinned"};
   std::unordered_map<uint64_t, telemetry::CounterHandle> zone_counters_;
 };
 

@@ -1,9 +1,12 @@
 #include "telemetry/round_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -470,6 +473,114 @@ void SweepWindow(double w0, double w1, const std::vector<Cover>& covers,
   }
 }
 
+/// The recorded intervals that overlap a window, found without a scan.
+/// `Overlapping(a, b)` lists, in recorded order, every interval with
+/// `!(end <= a) && !(start >= b)`, the test a scan makes. Intervals are
+/// sorted by start under a tree of maximum ends, so a query costs
+/// O((1 + answers) log n). An interval or a window with a NaN bound is
+/// tested one by one, exactly as the scan tests it.
+class IntervalIndex {
+ public:
+  explicit IntervalIndex(std::vector<std::pair<double, double>> spans)
+      : spans_(std::move(spans)) {
+    for (size_t i = 0; i < spans_.size(); ++i) {
+      const auto [start, end] = spans_[i];
+      (std::isnan(start) || std::isnan(end) ? unordered_ : by_start_)
+          .push_back(static_cast<int>(i));
+    }
+    std::stable_sort(by_start_.begin(), by_start_.end(), [&](int x, int y) {
+      return spans_[x].first < spans_[y].first;
+    });
+    while (leaves_ < by_start_.size()) leaves_ *= 2;
+    max_end_.assign(2 * leaves_, -std::numeric_limits<double>::infinity());
+    for (size_t i = 0; i < by_start_.size(); ++i) {
+      max_end_[leaves_ + i] = spans_[by_start_[i]].second;
+    }
+    for (size_t node = leaves_ - 1; node >= 1; --node) {
+      max_end_[node] = std::max(max_end_[2 * node], max_end_[2 * node + 1]);
+    }
+  }
+
+  void Overlapping(double a, double b, std::vector<int>* out) const {
+    out->clear();
+    const auto overlaps = [&](int i) {
+      return !(spans_[i].second <= a) && !(spans_[i].first >= b);
+    };
+    if (std::isnan(a) || std::isnan(b)) {
+      for (int i = 0; i < static_cast<int>(spans_.size()); ++i) {
+        if (overlaps(i)) out->push_back(i);
+      }
+      return;
+    }
+    // Without NaNs the test is end > a && start < b, and the intervals
+    // starting before b are a prefix of the start order.
+    const size_t prefix = static_cast<size_t>(
+        std::lower_bound(by_start_.begin(), by_start_.end(), b,
+                         [&](int i, double t) { return spans_[i].first < t; }) -
+        by_start_.begin());
+    Collect(1, 0, leaves_, prefix, a, out);
+    for (const int i : unordered_) {
+      if (overlaps(i)) out->push_back(i);
+    }
+    std::sort(out->begin(), out->end());
+  }
+
+ private:
+  /// Appends the intervals at start-order positions [lo, hi) (the leaves
+  /// under `node`) that lie in the prefix and end after `a`.
+  void Collect(size_t node, size_t lo, size_t hi, size_t prefix, double a,
+               std::vector<int>* out) const {
+    if (lo >= prefix || !(max_end_[node] > a)) return;
+    if (hi - lo == 1) {
+      out->push_back(by_start_[lo]);
+      return;
+    }
+    const size_t mid = lo + (hi - lo) / 2;
+    Collect(2 * node, lo, mid, prefix, a, out);
+    Collect(2 * node + 1, mid, hi, prefix, a, out);
+  }
+
+  std::vector<std::pair<double, double>> spans_;  // Recorded order.
+  std::vector<int> by_start_;   // Spans without NaN, by (start, index).
+  std::vector<int> unordered_;  // Spans with a NaN bound.
+  size_t leaves_ = 1;
+  std::vector<double> max_end_;  // Heap-ordered tree over by_start_.
+};
+
+/// Instants sorted by time (recorded order among equal times), for
+/// "which instants fall in [start, end)" lookups by binary search. An
+/// instant at NaN is in no window, and neither is anything when a bound
+/// is NaN, exactly as `ts >= start && ts < end` decides.
+class InstantIndex {
+ public:
+  explicit InstantIndex(const std::vector<double>& ts) {
+    for (size_t i = 0; i < ts.size(); ++i) {
+      if (!std::isnan(ts[i])) sorted_.emplace_back(ts[i], static_cast<int>(i));
+    }
+    std::stable_sort(sorted_.begin(), sorted_.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+  }
+
+  /// The (ts, recorded index) pairs of the instants in [start, end), in
+  /// time order.
+  std::span<const std::pair<double, int>> Within(double start,
+                                                 double end) const {
+    if (std::isnan(start) || std::isnan(end) || !(start < end)) return {};
+    const auto below = [](const std::pair<double, int>& x, double t) {
+      return x.first < t;
+    };
+    const auto lo =
+        std::lower_bound(sorted_.begin(), sorted_.end(), start, below);
+    const auto hi = std::lower_bound(lo, sorted_.end(), end, below);
+    return {lo, hi};
+  }
+
+ private:
+  std::vector<std::pair<double, int>> sorted_;  // (ts, recorded index).
+};
+
 void AppendSegment(std::vector<Segment>* out, double start, double end,
                    Phase phase) {
   if (!(end > start)) return;
@@ -596,15 +707,30 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
     }
     if (pending_comm) rounds.pop_back();  // Trainer stopped mid-round.
 
+    // Each round looks its flows, matchmakes and instants up in sorted
+    // indexes: O((rounds + matches) log n) per run, not rounds x events.
+    std::vector<std::pair<double, double>> flow_spans;
+    flow_spans.reserve(flows.size());
+    for (const FlowRef& flow : flows) {
+      flow_spans.emplace_back(flow.start_us, flow.end_us);
+    }
+    const IntervalIndex flow_index(std::move(flow_spans));
+    const IntervalIndex mm_index(matchmakes);
+    const InstantIndex retry_index(retry_ts);
+    const InstantIndex degraded_index(degraded_ts);
+    std::vector<double> chaos_ts;
+    chaos_ts.reserve(chaos.size());
+    for (const auto& [ts, name] : chaos) chaos_ts.push_back(ts);
+    const InstantIndex chaos_index(chaos_ts);
+    std::vector<int> hits;
+
     double run_modeled = 0;
     for (Round& round : rounds) {
       // Flows overlapping the communication window, clipped to it.
       std::vector<Cover> flow_covers;
-      for (const FlowRef& flow : flows) {
-        if (flow.end_us <= round.avg_start_us ||
-            flow.start_us >= round.end_us) {
-          continue;
-        }
+      flow_index.Overlapping(round.avg_start_us, round.end_us, &hits);
+      for (const int hit : hits) {
+        const FlowRef& flow = flows[static_cast<size_t>(hit)];
         FlowRef clipped = flow;
         clipped.start_us = std::max(flow.start_us, round.avg_start_us);
         clipped.end_us = std::min(flow.end_us, round.end_us);
@@ -616,10 +742,9 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
         flow_covers.push_back(cover);
       }
       std::vector<Cover> mm_covers;
-      for (const auto& [mm_start, mm_end] : matchmakes) {
-        if (mm_end <= round.calc_end_us || mm_start >= round.avg_start_us) {
-          continue;
-        }
+      mm_index.Overlapping(round.calc_end_us, round.avg_start_us, &hits);
+      for (const int hit : hits) {
+        const auto [mm_start, mm_end] = matchmakes[static_cast<size_t>(hit)];
         Cover cover;
         cover.start = std::max(mm_start, round.calc_end_us);
         cover.end = std::min(mm_end, round.avg_start_us);
@@ -635,18 +760,19 @@ Result<RoundModel> BuildRoundModel(const TraceDataset& dataset) {
       SweepWindow(round.avg_start_us, round.end_us, flow_covers,
                   Phase::kFlow, Phase::kOverhead, &round.critical);
 
-      for (const double ts : retry_ts) {
-        if (ts >= round.start_us && ts < round.end_us) ++round.retries;
+      round.retries = static_cast<int>(
+          retry_index.Within(round.start_us, round.end_us).size());
+      round.degraded =
+          !degraded_index.Within(round.start_us, round.end_us).empty();
+      hits.clear();
+      for (const auto& [ts, index] :
+           chaos_index.Within(round.start_us, round.end_us)) {
+        hits.push_back(index);
       }
-      for (const double ts : degraded_ts) {
-        if (ts >= round.start_us && ts < round.end_us) {
-          round.degraded = true;
-        }
-      }
-      for (const auto& [ts, name] : chaos) {
-        if (ts >= round.start_us && ts < round.end_us) {
-          round.chaos.push_back(dataset.names[static_cast<size_t>(name)]);
-        }
+      std::sort(hits.begin(), hits.end());  // Back to recorded order.
+      for (const int hit : hits) {
+        const int name = chaos[static_cast<size_t>(hit)].second;
+        round.chaos.push_back(dataset.names[static_cast<size_t>(name)]);
       }
       run_modeled += round.dur_us();
     }

@@ -517,14 +517,17 @@ TEST_F(NetworkTest, RecycledFlowSlotKeepsItsOwnDeadline) {
 // Each case runs twice: batched, and with a `FlowRate` read after every
 // `StartFlow`, which solves the arrival at once (the eager order).
 
-/// One site of nodes with the given NIC egress capacities (bytes/sec).
+/// One site of nodes with the given NIC egress (and, when given, ingress)
+/// capacities in bytes/sec; 0 is the 10 Gb/s default.
 struct NicWorld {
-  explicit NicWorld(const std::vector<double>& egress_bps) {
+  explicit NicWorld(const std::vector<double>& egress_bps,
+                    const std::vector<double>& ingress_bps = {}) {
     const SiteId a = topo.AddSite("a", Provider::kGoogleCloud, Continent::kUs);
     topo.SetPath(a, a, GbpsToBytesPerSec(100), MsToSec(1));
-    for (const double cap : egress_bps) {
+    for (size_t i = 0; i < egress_bps.size(); ++i) {
       NodeNetConfig config;
-      config.nic_egress_bps = cap;
+      config.nic_egress_bps = egress_bps[i];
+      if (i < ingress_bps.size()) config.nic_ingress_bps = ingress_bps[i];
       nodes.push_back(topo.AddNode(a, config));
     }
   }
@@ -635,6 +638,269 @@ TEST(NetworkLifetimeTest, DestroyedNetworkWithPendingArrivalsIsNotCalledBack) {
   EXPECT_FALSE(completed);
   EXPECT_EQ(sim.Now(), 2.0);
   EXPECT_EQ(sim.events_fired(), 2u);
+}
+
+// --- Pinned components: removals without a re-solve ---
+//
+// Each case runs twice: as is, and with `Refresh()` after every removal,
+// which re-solves every component from scratch. A removal that skips its
+// re-solve must leave exactly what the re-solve computes.
+
+struct PinnedFlow {
+  int src;
+  int dst;
+  double cap;  // app_rate_cap_bps; the paths and windows allow more.
+};
+
+struct RemovalRun {
+  std::vector<double> rates_before;  // Every flow, before the removal.
+  std::vector<double> rates_after;   // After it (0 for the victim).
+  std::vector<double> done_at;       // Completion time per flow, or -1.
+  std::vector<double> peaks;         // NodePeakEgressRate per node.
+  uint64_t events_fired = 0;
+  double removal_solves = 0;   // net.solves run by the removal.
+  double removal_cancels = 0;  // sim.events_cancelled by the removal.
+  double removals_pinned = 0;  // Whole run.
+  double solves = 0;           // Whole run.
+};
+
+// Starts `flows` (1 GB each) at t=0 in `w`, cancels flow `victim` at t=1
+// and runs to the end.
+RemovalRun RunRemoval(NicWorld& w, const std::vector<PinnedFlow>& flows,
+                      size_t victim, bool refresh_after_removal) {
+  RemovalRun run;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  Network network(&w.sim, &w.topo);
+  std::vector<FlowId> ids;
+  run.done_at.assign(flows.size(), -1);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    FlowOptions options;
+    options.app_rate_cap_bps = flows[i].cap;
+    auto id = network.StartFlow(
+        w.nodes[flows[i].src], w.nodes[flows[i].dst], 1 * kGB,
+        [&, i] {
+          run.done_at[i] = w.sim.Now();
+          if (refresh_after_removal) network.Refresh();
+        },
+        options);
+    EXPECT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  w.sim.RunUntil(1.0);
+  for (const FlowId id : ids) run.rates_before.push_back(network.FlowRate(id));
+  w.sim.Schedule(0.0, [&] {
+    const double solves = metrics.CounterValue("net.solves");
+    const double cancels = metrics.CounterValue("sim.events_cancelled");
+    EXPECT_TRUE(network.CancelFlow(ids[victim]));
+    if (refresh_after_removal) network.Refresh();
+    run.removal_solves = metrics.CounterValue("net.solves") - solves;
+    run.removal_cancels =
+        metrics.CounterValue("sim.events_cancelled") - cancels;
+  });
+  w.sim.RunUntil(1.0);
+  for (const FlowId id : ids) run.rates_after.push_back(network.FlowRate(id));
+  w.sim.Run();
+  for (const NodeId n : w.nodes) {
+    run.peaks.push_back(network.NodePeakEgressRate(n));
+  }
+  run.events_fired = w.sim.events_fired();
+  run.removals_pinned = metrics.CounterValue("net.removals_pinned");
+  run.solves = metrics.CounterValue("net.solves");
+  return run;
+}
+
+// Runs the case live and with a re-solve after every removal, checks
+// that both agree exactly, and returns the live run.
+RemovalRun RunAgainstRefresh(const std::vector<double>& egress_bps,
+                             const std::vector<double>& ingress_bps,
+                             const std::vector<PinnedFlow>& flows,
+                             size_t victim) {
+  NicWorld live_world(egress_bps, ingress_bps);
+  const RemovalRun live = RunRemoval(live_world, flows, victim, false);
+  NicWorld twin_world(egress_bps, ingress_bps);
+  const RemovalRun twin = RunRemoval(twin_world, flows, victim, true);
+  EXPECT_EQ(live.rates_before, twin.rates_before);
+  EXPECT_EQ(live.rates_after, twin.rates_after);
+  EXPECT_EQ(live.done_at, twin.done_at);
+  EXPECT_EQ(live.peaks, twin.peaks);
+  EXPECT_EQ(live.events_fired, twin.events_fired);
+  return live;
+}
+
+TEST(PinnedComponentTest, RemovalFromPinnedComponentRunsNoSolve) {
+  // Integer caps an octave apart, NICs far above their sums: one
+  // component (n0's egress NIC and n1's ingress NIC link all four).
+  const std::vector<PinnedFlow> flows = {
+      {0, 1, 1e8}, {0, 2, 2e8}, {0, 3, 4e8}, {4, 1, 3e8}};
+  const RemovalRun run =
+      RunAgainstRefresh({0, 0, 0, 0, 0}, {}, flows, /*victim=*/1);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(run.rates_before[i], flows[i].cap);
+    EXPECT_EQ(run.rates_after[i], i == 1 ? 0.0 : flows[i].cap);
+  }
+  EXPECT_EQ(run.removal_solves, 0);
+  EXPECT_EQ(run.removal_cancels, 1);  // The victim's own deadline.
+  // The arrivals' solve is the only one: the cancel and the two
+  // completions that leave survivors skip theirs.
+  EXPECT_EQ(run.solves, 1);
+  EXPECT_EQ(run.removals_pinned, 3);
+  EXPECT_EQ(run.done_at[2], 2.5);  // 1 GB at 400 MB/s.
+  EXPECT_EQ(run.peaks[0], 7e8);
+}
+
+TEST(PinnedComponentTest, CapWithinEpsilonOfALowerOneIsNotPinned) {
+  // Within 1e-9 B/s of a lower cap, a flow freezes at that level, below
+  // its own cap, with every NIC far from full; alone it reaches its cap.
+  const double a = 1000;
+  const double b = 1000 + 5e-10;
+  const std::vector<PinnedFlow> flows = {{0, 1, a}, {0, 2, b}};
+  const RemovalRun run =
+      RunAgainstRefresh({0, 0, 0}, {}, flows, /*victim=*/0);
+  EXPECT_EQ(run.rates_before[1], a);
+  EXPECT_EQ(run.rates_after[1], b);
+  EXPECT_EQ(run.removal_solves, 1);
+}
+
+TEST(PinnedComponentTest, TightNicRemovalRaisesSurvivor) {
+  // n0's NIC (300 MB/s) holds both 200 MB/s flows below their caps.
+  const std::vector<PinnedFlow> flows = {{0, 1, 2e8}, {0, 2, 2e8}};
+  const RemovalRun run =
+      RunAgainstRefresh({3e8, 0, 0}, {}, flows, /*victim=*/0);
+  EXPECT_EQ(run.rates_before[1], 1.5e8);
+  EXPECT_EQ(run.rates_after[1], 2e8);
+  EXPECT_EQ(run.removal_solves, 1);
+  EXPECT_EQ(run.removals_pinned, 0);
+}
+
+TEST(PinnedComponentTest, LevelStepThatRoundsIsNotPinned) {
+  // Every step of the full solve (0 -> a -> c -> b) stays within a 2x
+  // band and is exact, but once c leaves, the step a -> b rounds.
+  const double a = 100000000.3;
+  const double c = 150000000.0;
+  const double b = 250000000.1;
+  ASSERT_NE(a + (b - a), b);
+  const std::vector<PinnedFlow> flows = {{0, 1, a}, {0, 2, c}, {0, 3, b}};
+  const RemovalRun run =
+      RunAgainstRefresh({0, 0, 0, 0}, {}, flows, /*victim=*/1);
+  EXPECT_EQ(run.rates_before, (std::vector<double>{a, c, b}));
+  EXPECT_EQ(run.rates_after[2], a + (b - a));
+  EXPECT_EQ(run.removal_solves, 1);
+}
+
+TEST(PinnedComponentTest, MoreThanThirtyTwoDistinctCapsAcrossOctavesSolve) {
+  // Integer caps from 1 to 33 MB/s: every step is exact, but beyond a 2x
+  // band only 32 distinct caps are checked pairwise.
+  for (const int num_caps : {32, 33}) {
+    std::vector<PinnedFlow> flows;
+    for (int k = 1; k <= num_caps; ++k) flows.push_back({0, 1, k * 1e6});
+    const RemovalRun run =
+        RunAgainstRefresh({0, 0}, {}, flows, /*victim=*/0);
+    EXPECT_EQ(run.rates_before.back(), num_caps * 1e6);
+    EXPECT_EQ(run.removal_solves, num_caps == 32 ? 0 : 1) << num_caps;
+  }
+}
+
+TEST(PinnedComponentTest, SummedCapsWithinSlackOfNicSolve) {
+  // n1's ingress NIC is exactly the sum of its three flows' caps: all
+  // five flows reach their caps, but once a flow elsewhere on n0's NIC
+  // leaves, the re-solve stops one of n1's flows a hair short of its cap.
+  const double c1 = 222908723.9;
+  const double c2 = 284492237.9;
+  const double c5 = 258880825.3;
+  const std::vector<PinnedFlow> flows = {{0, 1, c1},
+                                         {0, 1, c2},
+                                         {0, 2, 198838825.2},
+                                         {0, 3, 221685380.0},
+                                         {0, 1, c5}};
+  const double nic = c1 + c2 + c5;
+  const RemovalRun run =
+      RunAgainstRefresh({0, 0, 0, 0}, {0, nic, 0, 0}, flows, /*victim=*/2);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(run.rates_before[i], flows[i].cap);
+  }
+  EXPECT_LT(run.rates_after[1], c2);
+  EXPECT_EQ(run.removal_solves, 1);
+}
+
+TEST(PinnedComponentTest, WideCapSpreadKeepsPeakEgressExact) {
+  // A 4e-9 B/s flow beside ~1e8 B/s ones: its removal lets the re-solve
+  // sum n0's egress in a new order (the last user takes the freed
+  // place), which here rounds above the old peak.
+  const double a = 101316799.2;
+  const double b = 183746908.2;
+  const double c = 125935401.4;
+  const double tiny = 4e-9;
+  ASSERT_GT((a + c) + b, ((a + tiny) + b) + c);
+  const std::vector<PinnedFlow> flows = {
+      {0, 1, a}, {0, 2, tiny}, {0, 3, b}, {0, 4, c}};
+  const RemovalRun run =
+      RunAgainstRefresh({0, 0, 0, 0, 0}, {}, flows, /*victim=*/1);
+  EXPECT_EQ(run.rates_before, (std::vector<double>{a, tiny, b, c}));
+  EXPECT_EQ(run.peaks[0], (a + c) + b);
+  EXPECT_EQ(run.removal_solves, 1);
+}
+
+TEST(PinnedComponentTest, LargeComponentIsNeverPinned) {
+  // Above 2^14 flows the egress-sum rounding argument no longer holds.
+  for (const int num_flows : {1 << 14, (1 << 14) + 1}) {
+    NicWorld w({0, 0});
+    telemetry::MetricsRegistry metrics;
+    telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+    Network network(&w.sim, &w.topo);
+    FlowOptions options;
+    options.app_rate_cap_bps = 1e4;
+    std::vector<FlowId> ids;
+    for (int i = 0; i < num_flows; ++i) {
+      auto id = network.StartFlow(w.nodes[0], w.nodes[1], 1 * kGB, nullptr,
+                                  options);
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    w.sim.RunUntil(1.0);
+    ASSERT_EQ(metrics.CounterValue("net.solves"), 1);
+    EXPECT_TRUE(network.CancelFlow(ids[0]));
+    EXPECT_EQ(metrics.CounterValue("net.solves"),
+              num_flows == 1 << 14 ? 1 : 2)
+        << num_flows;
+  }
+}
+
+TEST(PinnedComponentTest, RefreshThatRemovesPathSlackEndsThePin) {
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  sim::Simulator sim;
+  Topology topo;
+  const SiteId a = topo.AddSite("a", Provider::kGoogleCloud, Continent::kUs);
+  const SiteId b = topo.AddSite("b", Provider::kGoogleCloud, Continent::kEu);
+  topo.SetPath(a, a, GbpsToBytesPerSec(100), MsToSec(1));
+  topo.SetPath(b, b, GbpsToBytesPerSec(100), MsToSec(1));
+  topo.SetPath(a, b, 1e9, MsToSec(10));  // 8 MB windows: 800 MB/s a stream.
+  Network network(&sim, &topo);
+  std::vector<FlowId> ids;
+  for (const double cap : {1e8, 2e8, 3e8}) {
+    FlowOptions options;
+    options.app_rate_cap_bps = cap;
+    auto id = network.StartFlow(topo.AddNode(a), topo.AddNode(b), 100 * kGB,
+                                nullptr, options);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  sim.RunUntil(1.0);
+  EXPECT_EQ(metrics.CounterValue("net.solves"), 1);
+  EXPECT_TRUE(network.CancelFlow(ids[1]));  // Pinned: no solve.
+  EXPECT_EQ(metrics.CounterValue("net.solves"), 1);
+  // The path shrinks to the survivors' summed caps: they still reach
+  // them, but with no slack left the component is no longer pinned.
+  topo.SetPath(a, b, 4e8, MsToSec(10));
+  network.Refresh();
+  EXPECT_EQ(metrics.CounterValue("net.solves"), 2);
+  EXPECT_EQ(network.FlowRate(ids[0]), 1e8);
+  EXPECT_EQ(network.FlowRate(ids[2]), 3e8);
+  EXPECT_TRUE(network.CancelFlow(ids[0]));
+  EXPECT_EQ(metrics.CounterValue("net.solves"), 3);
+  EXPECT_EQ(metrics.CounterValue("net.removals_pinned"), 1);
+  EXPECT_EQ(network.FlowRate(ids[2]), 3e8);
 }
 
 // --- Topology ---

@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/units.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
@@ -472,6 +473,145 @@ TEST_P(ArrivalBatchingTest, BatchedArrivalsMatchSolvingEachArrival) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArrivalBatchingTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// --- Removals from pinned components against a re-solve ---
+//
+// Every flow is held by its own app cap, far below its NICs and paths,
+// so every component is pinned and removals skip their re-solve. Caps
+// are integers across several octaves (even seeds; each level step is
+// exact) or reals inside a 2x band (odd seeds; exact by Sterbenz). The
+// twin calls `Refresh()` after every removal, which re-solves every
+// component from scratch: the two runs must agree bit for bit.
+struct PinnedWorkloadRun {
+  std::vector<std::vector<double>> rates;  // Per snapshot, per flow.
+  std::vector<std::pair<int, double>> completions;  // (flow, time).
+  std::vector<int> cancelled;
+  uint64_t events_fired = 0;
+  std::vector<double> egress;
+  std::vector<double> ingress;
+  std::vector<double> peaks;
+  double solves = 0;
+  double removals_pinned = 0;
+};
+
+PinnedWorkloadRun RunPinnedWorkload(uint64_t seed, bool refresh_after_removal) {
+  PinnedWorkloadRun run;
+  telemetry::MetricsRegistry metrics;
+  telemetry::Telemetry::ScopedSinks sinks(/*trace=*/nullptr, &metrics);
+  Rng rng(seed);
+  sim::Simulator sim;
+  net::Topology topo;
+  std::vector<net::SiteId> sites;
+  for (int i = 0; i < 3; ++i) {
+    sites.push_back(topo.AddSite(StrFormat("s%d", i),
+                                 net::Provider::kGoogleCloud,
+                                 net::Continent::kUs));
+  }
+  // 1 Tb/s paths, 8 MB windows over at most 5 ms: no path or window
+  // binds below 1.6 GB/s.
+  for (const net::SiteId a : sites) {
+    for (const net::SiteId b : sites) {
+      if (b < a) continue;
+      topo.SetPath(a, b, GbpsToBytesPerSec(1000),
+                   MsToSec(a == b ? 1 : rng.Uniform(2, 5)));
+    }
+  }
+  std::vector<net::NodeId> nodes;
+  for (int i = 0; i < 10; ++i) {
+    net::NodeNetConfig config;
+    config.nic_egress_bps = 1e11;  // Above every flow's cap summed.
+    config.nic_ingress_bps = 1e11;
+    nodes.push_back(topo.AddNode(sites[rng.UniformInt(0, sites.size() - 1)],
+                                 config));
+  }
+  const bool octaves = seed % 2 == 0;
+  constexpr double kPalette[] = {1e6,   3e6,   5e6,   7e6,   11e6,
+                                 23e6,  47e6,  91e6,  130e6, 290e6};
+  net::Network network(&sim, &topo);
+  std::vector<net::FlowId> ids;  // In start order, identical in both runs.
+
+  struct Spec {
+    net::NodeId src, dst;
+    double bytes;
+    double cap;
+  };
+  for (int burst = 0; burst < 30; ++burst) {
+    std::vector<Spec> specs(rng.UniformInt(1, 6));
+    for (Spec& spec : specs) {
+      spec.src = nodes[rng.UniformInt(0, nodes.size() - 1)];
+      spec.dst = nodes[rng.UniformInt(0, nodes.size() - 1)];
+      if (spec.dst == spec.src) spec.dst = nodes[(spec.src + 1) % nodes.size()];
+      spec.bytes = rng.Uniform(1 * kMB, 400 * kMB);
+      spec.cap = octaves ? kPalette[rng.UniformInt(0, 9)]
+                         : rng.Uniform(100e6, 200e6);
+    }
+    sim.ScheduleAt(0.5 * rng.UniformInt(0, 40), [&, specs] {
+      for (const Spec& spec : specs) {
+        const int index = static_cast<int>(ids.size());
+        net::FlowOptions options;
+        options.app_rate_cap_bps = spec.cap;
+        auto id = network.StartFlow(
+            spec.src, spec.dst, spec.bytes,
+            [&, index] {
+              run.completions.emplace_back(index, sim.Now());
+              if (refresh_after_removal) network.Refresh();
+            },
+            options);
+        ASSERT_TRUE(id.ok());
+        ids.push_back(*id);
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const uint64_t pick = rng.UniformInt(0, 1 << 20);
+    sim.ScheduleAt(0.5 * rng.UniformInt(1, 40), [&, pick] {
+      if (ids.empty()) return;
+      const int victim = static_cast<int>(pick % ids.size());
+      if (!network.CancelFlow(ids[victim])) return;
+      run.cancelled.push_back(victim);
+      if (refresh_after_removal) network.Refresh();
+    });
+  }
+  for (int k = 0; k <= 120; ++k) {
+    sim.ScheduleAt(0.25 + 0.5 * k, [&] {
+      std::vector<double> rates;
+      for (const net::FlowId id : ids) rates.push_back(network.FlowRate(id));
+      run.rates.push_back(std::move(rates));
+    });
+  }
+  sim.Run();
+  run.events_fired = sim.events_fired();
+  for (const net::NodeId n : nodes) {
+    run.egress.push_back(network.NodeEgressBytes(n));
+    run.ingress.push_back(network.NodeIngressBytes(n));
+    run.peaks.push_back(network.NodePeakEgressRate(n));
+  }
+  run.solves = metrics.CounterValue("net.solves");
+  run.removals_pinned = metrics.CounterValue("net.removals_pinned");
+  return run;
+}
+
+class PinnedRemovalTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PinnedRemovalTest, SkippedRemovalsMatchReSolvingEveryComponent) {
+  const PinnedWorkloadRun resolved = RunPinnedWorkload(GetParam(), true);
+  const PinnedWorkloadRun live = RunPinnedWorkload(GetParam(), false);
+  EXPECT_EQ(live.rates, resolved.rates);
+  EXPECT_EQ(live.completions, resolved.completions);
+  EXPECT_EQ(live.cancelled, resolved.cancelled);
+  EXPECT_EQ(live.events_fired, resolved.events_fired);
+  EXPECT_EQ(live.egress, resolved.egress);
+  EXPECT_EQ(live.ingress, resolved.ingress);
+  EXPECT_EQ(live.peaks, resolved.peaks);
+  EXPECT_FALSE(live.completions.empty());
+  EXPECT_FALSE(live.cancelled.empty());
+  // Removals skipped their re-solves, and the live run solved less.
+  EXPECT_GT(live.removals_pinned, 0);
+  EXPECT_LT(live.solves, resolved.solves);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PinnedRemovalTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 8));
 
 // --- Simulator ordering under random churn ---
 
